@@ -85,9 +85,10 @@ bench:
 	$(GO) run ./cmd/offloadbench -exp tiers -tiers-out=$(CURDIR)/BENCH_tiers.json
 
 ## golden: regenerate every golden file (Chrome export, metrics summary,
-## breakdown tables) through the shared goldentest -update flag.
+## breakdown tables, fleet Result digests) through the shared goldentest
+## -update flag.
 golden:
-	$(GO) test ./internal/obs/ ./internal/obs/analyze/ -update
+	$(GO) test ./internal/obs/ ./internal/obs/analyze/ ./internal/fleet/ -run Golden -update
 
 ## profsmoke: end-to-end smoke of the trace-analysis pipeline — a chess
 ## run with the guest profiler and the breakdown report enabled, checking

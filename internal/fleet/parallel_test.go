@@ -11,20 +11,6 @@ import (
 	"repro/internal/tiers"
 )
 
-// marshalResult canonicalizes a run for byte-level comparison.
-func marshalResult(t *testing.T, cfg Config) []byte {
-	t.Helper()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("shards=%d: %v", cfg.Shards, err)
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestShardCountInvariance is the engine-equivalence regression: the
 // sharded engine must produce byte-identical Results to the sequential
 // reference for every shard count, across policies, under faults with
