@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test bench bindsmoke golden fuzz chaos fleet profsmoke migsmoke scalesmoke tiersmoke critsmoke
+.PHONY: check build vet test bench bindsmoke golden fuzz chaos fleet profsmoke migsmoke tiersmoke critsmoke
 
 ## check: the tier-1 verification — build, vet, race-enabled tests, a
 ## short fuzz smoke over the hardened wire decoder, the fleet scheduler
-## smoke, the sharded-engine scale smoke, the profiler/breakdown CLI
-## smoke, the shared-image bind smoke, the mid-offload migration
-## smoke, the multi-tier placement smoke, and the span-tracing smoke.
-check: build vet fleet scalesmoke profsmoke bindsmoke migsmoke tiersmoke critsmoke
+## smoke, the profiler/breakdown CLI smoke, the shared-image bind smoke,
+## the mid-offload migration smoke, the multi-tier placement smoke, and
+## the span-tracing smoke.
+check: build vet fleet profsmoke bindsmoke migsmoke tiersmoke critsmoke
 	$(GO) test -race ./...
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 
@@ -17,12 +17,6 @@ check: build vet fleet scalesmoke profsmoke bindsmoke migsmoke tiersmoke critsmo
 bindsmoke:
 	$(GO) test ./internal/interp/ -run '^TestBindSmoke$$' -count=1
 
-## scalesmoke: the sharded-engine contract at a size worth trusting — a
-## 10k-client sweep through the parallel engine must finish promptly and
-## match the sequential reference byte for byte.
-scalesmoke:
-	FLEET_SCALESMOKE=1 $(GO) test ./internal/fleet/ -run '^TestScaleSmoke$$' -count=1
-
 ## migsmoke: the mid-offload migration contract — a drain halfway through
 ## an offloaded task checkpoints, ships and resumes on a spare with output
 ## and memory digest bit-identical to the fault-free run, and the shipped
@@ -31,16 +25,15 @@ migsmoke:
 	$(GO) test ./internal/offrt/ -run '^TestMigrationSmoke$$' -count=1
 
 ## tiersmoke: the multi-tier placement contract — a hot 3-way cell must
-## beat both static baselines on geomean, actually promote and demote
-## across the backhaul, and stay byte-identical across shard counts.
+## beat both static baselines on geomean and actually promote or demote
+## across the backhaul.
 tiersmoke:
 	$(GO) test ./internal/fleet/ -run '^TestTierSmoke$$' -count=1
 
 ## critsmoke: the span-tracing contract — a tiered cell with the tail
 ## sampler on must retain exactly the slowest-K jobs with complete span
-## trees inside the ring bound, each exemplar's critical-path segments
-## must sum bit-exactly to its end-to-end latency, and the retained set
-## must be byte-identical across shard counts.
+## trees inside the ring bound, and each exemplar's critical-path
+## segments must sum bit-exactly to its end-to-end latency.
 critsmoke:
 	$(GO) test ./internal/fleet/ -run '^TestCritSmoke$$' -count=1
 
@@ -63,17 +56,15 @@ test:
 ## image copy). Also writes BENCH_fleet.json and BENCH_migrate.json; the
 ## migration bench fails unless migration-enabled recovery beats
 ## fallback-only on both aggregate p99 and geomean. The fleetscale bench
-## drives a million clients through the sharded engine and writes
-## BENCH_fleet_scale.json; it fails if the engines disagree byte for
-## byte, if adaptive admission stops beating static bounds on the
-## diurnal cell, (on >= 4 cores) if the parallel engine is under 4x
-## the sequential events/sec, or if the 100k-client exemplar cell
-## stops retaining the 64 slowest jobs as complete span trees with
-## exact segment sums inside the trace-ring bound. The tiers bench sweeps the mobile -> edge
-## -> cloud hierarchy through all three placement modes and writes
-## BENCH_tiers.json; it fails unless 3-way placement holds both
-## aggregate tails at or under each static baseline with shard parity
-## and live cross-tier migration.
+## drives a million clients through the fleet's event loop and writes
+## BENCH_fleet_scale.json; it fails if adaptive admission stops beating
+## static bounds on the diurnal cell, or if the 100k-client exemplar
+## cell stops retaining the 64 slowest jobs as complete span trees with
+## exact segment sums inside the trace-ring bound. The tiers bench
+## sweeps the mobile -> edge -> cloud hierarchy through all three
+## placement modes and writes BENCH_tiers.json; it fails unless 3-way
+## placement holds both aggregate tails at or under each static
+## baseline with live cross-tier migration.
 bench:
 	$(GO) test -run '^$$' -bench 'InterpLoop|LoadStore|CallReturn|Digest|Bind' -benchmem ./internal/interp/
 	$(GO) test -run '^$$' -bench 'PageFaultTrace' -benchmem ./internal/obs/
@@ -81,7 +72,7 @@ bench:
 	BENCH_BIND_JSON=$(CURDIR)/BENCH_bind.json $(GO) test ./internal/interp/ -run '^TestBindBenchJSON$$' -count=1 -v
 	$(GO) run ./cmd/offloadbench -exp fleet -fleet-out=$(CURDIR)/BENCH_fleet.json
 	$(GO) run ./cmd/offloadbench -exp migrate -migrate-out=$(CURDIR)/BENCH_migrate.json
-	$(GO) run ./cmd/offloadbench -exp fleetscale -clients 1000000 -shards 0 -exemplars 64 -scale-out=$(CURDIR)/BENCH_fleet_scale.json
+	$(GO) run ./cmd/offloadbench -exp fleetscale -clients 1000000 -exemplars 64 -scale-out=$(CURDIR)/BENCH_fleet_scale.json
 	$(GO) run ./cmd/offloadbench -exp tiers -tiers-out=$(CURDIR)/BENCH_tiers.json
 
 ## golden: regenerate every golden file (Chrome export, metrics summary,
@@ -99,9 +90,12 @@ profsmoke:
 	test -s $(CURDIR)/.profsmoke.folded
 	rm -f $(CURDIR)/.profsmoke.folded
 
-## fuzz: a longer fuzzing session over the wire decoder.
+## fuzz: a longer fuzzing session over the wire decoder and the link and
+## server fault-spec parsers.
 fuzz:
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s
+	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
+	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParseServer$$' -fuzztime 30s
 
 ## fleet: the server-fleet scheduler smoke — determinism, the est-aware
 ## vs random property, and admission sheds under overload, under -race.

@@ -3,30 +3,25 @@
 //
 //	offloadbench -exp table1|table2|table3|table4|table5|fig6a|fig6b|fig7|fig8|all
 //	offloadbench -exp fleet -clients=64 -servers=4 -policy=est-aware
-//	offloadbench -exp fleetscale -clients 1000000 -shards 0
+//	offloadbench -exp fleetscale -clients 1000000
 //	offloadbench -exp tiers -edge-servers 4 -cloud-servers 1
 //
 // Run offloadbench -help for the full mode catalogue with one-line
 // descriptions. Table 1 accepts -depth to bound the most expensive
 // chess difficulty. The fleet experiment compares dispatch policies
 // over a shared server pool and writes its machine-readable record to
-// -fleet-out. The fleetscale experiment benchmarks the sharded
-// parallel engine (parity gate, events/sec floor cells, the
-// million-client headline run, and adaptive-vs-static admission over a
-// diurnal curve), writing -scale-out. The tiers experiment sweeps the
-// mobile -> edge -> cloud hierarchy through all three placement modes
-// and writes -tiers-out. -shards selects the engine everywhere fleet
-// simulations run: -1 forces the sequential reference, 0 auto-sizes to
-// the CPU count, n >= 1 pins n worker shards — results are
-// bit-identical across all of them. -cpuprofile writes a pprof CPU
-// profile of the run.
+// -fleet-out. The fleetscale experiment benchmarks the fleet's event
+// loop (the 100k-client events/sec floor cell, the million-client
+// headline run, and adaptive-vs-static admission over a diurnal curve),
+// writing -scale-out. The tiers experiment sweeps the mobile -> edge ->
+// cloud hierarchy through all three placement modes and writes
+// -tiers-out. -cpuprofile writes a pprof CPU profile of the run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 
 	"repro/internal/core"
@@ -57,7 +52,7 @@ var expModes = []struct{ name, desc string }{
 	{"crossarch", "mobile/server architecture cross product"},
 	{"chaos", "fault-injection campaign; with -server-faults, server-fault equivalence"},
 	{"fleet", "dispatch-policy comparison over a shared server pool (BENCH_fleet.json)"},
-	{"fleetscale", "sharded parallel engine benchmark, million-client headline (BENCH_fleet_scale.json)"},
+	{"fleetscale", "fleet event-loop throughput, million-client headline (BENCH_fleet_scale.json)"},
 	{"migrate", "mid-offload migration vs fallback-only recovery (BENCH_migrate.json)"},
 	{"tiers", "3-way edge/cloud placement vs static single-tier baselines (BENCH_tiers.json)"},
 	{"all", "every paper table and figure (table1..fig8, ablation, crossarch)"},
@@ -70,7 +65,6 @@ func main() {
 	servers := flag.Int("servers", 4, "with -exp fleet/migrate: size of the server pool")
 	policy := flag.String("policy", "all", "with -exp fleet: dispatch policy (random, round-robin, least-loaded, est-aware) or all")
 	seed := flag.Uint64("seed", 1, "with -exp fleet: simulation seed")
-	shards := flag.Int("shards", 0, "fleet engine: -1 sequential reference, 0 one shard per CPU, n >= 1 that many shards (bit-identical results)")
 	fleetOut := flag.String("fleet-out", "BENCH_fleet.json", "with -exp fleet: machine-readable sweep record path (empty to skip)")
 	scaleOut := flag.String("scale-out", "BENCH_fleet_scale.json", "with -exp fleetscale: machine-readable bench record path (empty to skip)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
@@ -251,7 +245,7 @@ func main() {
 				}
 				pols = append(pols, p)
 			}
-			results, err := experiments.FleetSweep([]int{*clients}, *servers, *seed, engineShards(*shards), pols...)
+			results, err := experiments.FleetSweep([]int{*clients}, *servers, *seed, pols...)
 			if err != nil {
 				return err
 			}
@@ -263,7 +257,7 @@ func main() {
 				fmt.Printf("fleet: %d cells -> %s\n", len(results), *fleetOut)
 			}
 			if *exemplars > 0 {
-				if err := fleetExemplars(*clients, *servers, *seed, engineShards(*shards), *policy, *exemplars, *critPath); err != nil {
+				if err := fleetExemplars(*clients, *servers, *seed, *policy, *exemplars, *critPath); err != nil {
 					return err
 				}
 			}
@@ -295,7 +289,7 @@ func main() {
 			if !explicit {
 				n = 1_000_000
 			}
-			bench, err := experiments.ScaleSweep(n, *shards, *exemplars)
+			bench, err := experiments.ScaleSweep(n, *exemplars)
 			if err != nil {
 				return err
 			}
@@ -327,25 +321,11 @@ func main() {
 	}
 }
 
-// engineShards maps the -shards flag onto fleet.Config.Shards: -1 picks
-// the sequential reference engine (Shards 0), 0 sizes the sharded engine
-// to the machine, and a positive count is passed through.
-func engineShards(n int) int {
-	switch {
-	case n < 0:
-		return 0
-	case n == 0:
-		return runtime.NumCPU()
-	default:
-		return n
-	}
-}
-
 // fleetExemplars deep-dives one fleet cell with the tail sampler on:
 // re-runs the chosen policy with k exemplars per retention category and a
 // bounded tracer ring, reports the retained set, and with -critpath prints
 // the per-exemplar critical-path decomposition and tail summary.
-func fleetExemplars(clients, servers int, seed uint64, shards int, policy string, k int, critPath bool) error {
+func fleetExemplars(clients, servers int, seed uint64, policy string, k int, critPath bool) error {
 	pol := fleet.EstAware
 	if policy != "all" {
 		p, err := fleet.ParsePolicy(policy)
@@ -356,7 +336,6 @@ func fleetExemplars(clients, servers int, seed uint64, shards int, policy string
 	}
 	cfg := fleet.DefaultConfig(clients, servers, pol)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	cfg.Exemplars = k
 	tr := obs.NewTracer(0)
 	cfg.Tracer = tr

@@ -10,8 +10,8 @@ import (
 // TestFleetSweepDeterministic: the bench artifact must be byte-identical
 // across runs of the same sweep — the acceptance bar for BENCH_fleet.json.
 func TestFleetSweepDeterministic(t *testing.T) {
-	sweep := func(shards int) []byte {
-		res, err := FleetSweep([]int{8, 32}, 4, 1, shards)
+	sweep := func() []byte {
+		res, err := FleetSweep([]int{8, 32}, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -21,13 +21,9 @@ func TestFleetSweepDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	a, b := sweep(0), sweep(0)
+	a, b := sweep(), sweep()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two identical sweeps produced different JSON:\n%s\n----\n%s", a, b)
-	}
-	// The sharded engine is a pure wall-clock knob: same bytes.
-	if !bytes.Equal(a, sweep(4)) {
-		t.Fatal("sharded sweep diverged from the sequential artifact")
 	}
 }
 
@@ -35,7 +31,7 @@ func TestFleetSweepDeterministic(t *testing.T) {
 // 4-server cell: contention-aware dispatch beats random on the tail, and
 // the load-blind policies overrun admission (nonzero sheds).
 func TestFleetAcceptanceCell(t *testing.T) {
-	res, err := FleetSweep([]int{64}, 4, 1, 0, fleet.Random, fleet.EstAware)
+	res, err := FleetSweep([]int{64}, 4, 1, fleet.Random, fleet.EstAware)
 	if err != nil {
 		t.Fatal(err)
 	}

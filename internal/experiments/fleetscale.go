@@ -14,9 +14,8 @@ import (
 )
 
 // The fleet-scale benchmark: how fast the discrete-event engine chews
-// through a production-sized client population, whether the sharded
-// engine is a pure wall-clock knob (bit-identical results), and whether
-// adaptive admission earns its keep on a diurnal load curve.
+// through a production-sized client population, and whether adaptive
+// admission earns its keep on a diurnal load curve.
 
 // ScaleCell is one timed engine run.
 type ScaleCell struct {
@@ -24,7 +23,6 @@ type ScaleCell struct {
 	Clients      int     `json:"clients"`
 	Servers      int     `json:"servers"`
 	Requests     int     `json:"requests_per_client"`
-	Shards       int     `json:"shards"` // 0 = sequential reference engine
 	Events       int64   `json:"events"`
 	ElapsedSec   float64 `json:"elapsed_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -65,14 +63,12 @@ type ExemplarCell struct {
 // ScaleBench is the machine-readable record make bench writes to
 // BENCH_fleet_scale.json.
 type ScaleBench struct {
-	Cores      int    `json:"cores"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Parity     string `json:"parity"` // "ok" after the cross-engine byte-identity gate
+	Cores      int `json:"cores"`
+	GoMaxProcs int `json:"gomaxprocs"`
 
-	// Floor cells: the same 100k-client sweep through both engines.
-	Seq      ScaleCell `json:"seq"`
-	Par      ScaleCell `json:"par"`
-	SpeedupX float64   `json:"speedup_x"` // parallel events/sec over sequential
+	// Floor is the 100k-client cell, pinned so its events/sec is
+	// comparable across runs.
+	Floor ScaleCell `json:"floor"`
 
 	// Big is the headline run: a million clients over sixteen servers.
 	Big ScaleCell `json:"big"`
@@ -88,10 +84,9 @@ type ScaleBench struct {
 // scaleConfig is the shared workload of the timed cells: est-aware policy
 // (the most expensive dispatcher — it prices every server per decision)
 // over a 16-server heterogeneous pool.
-func scaleConfig(clients, rpc, shards int) fleet.Config {
+func scaleConfig(clients, rpc int) fleet.Config {
 	cfg := fleet.DefaultConfig(clients, 16, fleet.EstAware)
 	cfg.RequestsPerClient = rpc
-	cfg.Shards = shards
 	return cfg
 }
 
@@ -107,7 +102,6 @@ func timeCell(name string, cfg fleet.Config) (ScaleCell, error) {
 		Clients:      cfg.Clients,
 		Servers:      len(cfg.Servers),
 		Requests:     cfg.RequestsPerClient,
-		Shards:       cfg.Shards,
 		Events:       res.Events,
 		ElapsedSec:   el,
 		EventsPerSec: float64(res.Events) / el,
@@ -122,8 +116,8 @@ func timeCell(name string, cfg fleet.Config) (ScaleCell, error) {
 // category, how many assemble into complete span trees whose root
 // duration matches the recorded latency, and on how many the
 // critical-path segments sum exactly to the end-to-end latency.
-func exemplarCell(clients, shards, k int) (*ExemplarCell, error) {
-	cfg := scaleConfig(clients, 10, shards)
+func exemplarCell(clients, k int) (*ExemplarCell, error) {
+	cfg := scaleConfig(clients, 10)
 	cfg.Exemplars = k
 	tr := obs.NewTracer(0)
 	cfg.Tracer = tr
@@ -163,54 +157,18 @@ func exemplarCell(clients, shards, k int) (*ExemplarCell, error) {
 }
 
 // ScaleSweep runs the full fleet-scale benchmark. clients sizes the
-// headline cell (the floor cells are pinned at 100k so the speedup number
-// is comparable across runs); shards is the worker count for the parallel
-// cells, typically runtime.NumCPU(); exemplars > 0 adds the tail-sampling
-// cell retaining that many jobs per category.
-func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, error) {
-	if shards < 1 {
-		shards = runtime.NumCPU()
-	}
+// headline cell (the floor cell is pinned at 100k); exemplars > 0 adds the
+// tail-sampling cell retaining that many jobs per category.
+func ScaleSweep(clients, exemplars int) (*ScaleBench, error) {
 	b := &ScaleBench{Cores: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
 
-	// Parity gate: before timing anything, prove the engines agree byte
-	// for byte on a cell small enough to run across several shard counts
-	// and every policy.
-	for _, pol := range fleet.Policies() {
-		cfg := fleet.DefaultConfig(64, 4, pol)
-		cfg.Seed = 9
-		var ref []byte
-		for _, s := range []int{0, 1, 4} {
-			c := cfg
-			c.Shards = s
-			res, err := fleet.Run(c)
-			if err != nil {
-				return nil, fmt.Errorf("parity %s shards=%d: %w", pol, s, err)
-			}
-			bs, err := json.Marshal(res)
-			if err != nil {
-				return nil, err
-			}
-			if s == 0 {
-				ref = bs
-			} else if string(bs) != string(ref) {
-				return nil, fmt.Errorf("parity: %s shards=%d diverged from sequential", pol, s)
-			}
-		}
-	}
-	b.Parity = "ok"
-
 	var err error
-	if b.Seq, err = timeCell("floor-seq", scaleConfig(100_000, 10, 0)); err != nil {
+	if b.Floor, err = timeCell("floor", scaleConfig(100_000, 10)); err != nil {
 		return nil, err
 	}
-	if b.Par, err = timeCell("floor-par", scaleConfig(100_000, 10, shards)); err != nil {
-		return nil, err
-	}
-	b.SpeedupX = b.Par.EventsPerSec / b.Seq.EventsPerSec
 
 	if exemplars > 0 {
-		if b.Exemplar, err = exemplarCell(100_000, shards, exemplars); err != nil {
+		if b.Exemplar, err = exemplarCell(100_000, exemplars); err != nil {
 			return nil, err
 		}
 	}
@@ -219,7 +177,7 @@ func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, error) {
 	if clients < 1 {
 		clients = 1_000_000
 	}
-	if b.Big, err = timeCell("big", scaleConfig(clients, rpc, shards)); err != nil {
+	if b.Big, err = timeCell("big", scaleConfig(clients, rpc)); err != nil {
 		return nil, err
 	}
 
@@ -230,7 +188,6 @@ func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, error) {
 			cfg.RequestsPerClient = 20
 			cfg.Workload.DiurnalAmp = 0.8
 			cfg.Workload.DiurnalPeriod = 4 * simtime.Second
-			cfg.Shards = shards
 			if adaptive {
 				cfg.Adaptive = fleet.DefaultAdaptive()
 			}
@@ -257,15 +214,12 @@ func ScaleSweep(clients, shards, exemplars int) (*ScaleBench, error) {
 	return b, nil
 }
 
-// CheckFloor enforces the benchmark's acceptance bar: the engines must
-// have agreed byte for byte, adaptive admission must strictly reduce
-// sheds + deadline misses on every diurnal seed without losing 5% of
-// throughput, and — on machines with the cores to show it — the sharded
-// engine must clear 4x the sequential engine's events/sec.
+// CheckFloor enforces the benchmark's acceptance bar: adaptive admission
+// must strictly reduce sheds + deadline misses on every diurnal seed
+// without losing 5% of throughput, and the exemplar cell (when run) must
+// retain the slowest jobs as complete span trees with exact segment sums
+// inside the trace-ring bound.
 func (b *ScaleBench) CheckFloor() error {
-	if b.Parity != "ok" {
-		return fmt.Errorf("fleetscale: parity gate did not run")
-	}
 	for _, c := range b.Adaptive {
 		static, adaptive := c.StaticSheds+c.StaticMisses, c.AdaptiveSheds+c.AdaptiveMisses
 		if static == 0 {
@@ -279,16 +233,6 @@ func (b *ScaleBench) CheckFloor() error {
 			return fmt.Errorf("fleetscale: seed %d adaptive throughput %.1f rps gave up >5%% vs static %.1f",
 				c.Seed, c.AdaptiveRPS, c.StaticRPS)
 		}
-	}
-	if b.Cores >= 4 && b.SpeedupX < 4 {
-		return fmt.Errorf("fleetscale: %.2fx parallel speedup under the 4x floor on %d cores",
-			b.SpeedupX, b.Cores)
-	}
-	if b.Cores < 4 && b.SpeedupX < 0.8 {
-		// Even without cores to scale on, the sharded engine's smaller
-		// heaps must not cost real throughput.
-		return fmt.Errorf("fleetscale: parallel engine at %.2fx sequential on %d core(s); overhead out of bounds",
-			b.SpeedupX, b.Cores)
 	}
 	if c := b.Exemplar; c != nil {
 		if c.SlowRetained != c.Exemplars {
@@ -313,12 +257,11 @@ func (b *ScaleBench) CheckFloor() error {
 
 // ScaleTable renders the benchmark for the terminal.
 func ScaleTable(b *ScaleBench) *report.Table {
-	t := report.New(fmt.Sprintf("Fleet scale: engine throughput on %d core(s), parity %s", b.Cores, b.Parity),
-		"cell", "clients", "servers", "shards", "events", "elapsed (s)", "events/sec")
-	for _, c := range []ScaleCell{b.Seq, b.Par, b.Big} {
-		t.Add(c.Name, c.Clients, c.Servers, c.Shards, c.Events, c.ElapsedSec, c.EventsPerSec)
+	t := report.New(fmt.Sprintf("Fleet scale: engine throughput on %d core(s)", b.Cores),
+		"cell", "clients", "servers", "events", "elapsed (s)", "events/sec")
+	for _, c := range []ScaleCell{b.Floor, b.Big} {
+		t.Add(c.Name, c.Clients, c.Servers, c.Events, c.ElapsedSec, c.EventsPerSec)
 	}
-	t.Note(fmt.Sprintf("parallel vs sequential events/sec: %.2fx (floor 4x arms at >= 4 cores)", b.SpeedupX))
 	for _, c := range b.Adaptive {
 		t.Note(fmt.Sprintf("diurnal seed %d: static sheds+misses %d -> adaptive %d (rps %.1f -> %.1f)",
 			c.Seed, c.StaticSheds+c.StaticMisses, c.AdaptiveSheds+c.AdaptiveMisses, c.StaticRPS, c.AdaptiveRPS))

@@ -9,7 +9,7 @@ import (
 
 // TestTierSweepFloor runs the committed benchmark configuration end to
 // end: the floor must hold (3-way at or under both static baselines on
-// both aggregates, shard parity, non-vacuous migration) and the sweep
+// both aggregates, non-vacuous migration) and the sweep
 // must be deterministic in the seed.
 func TestTierSweepFloor(t *testing.T) {
 	b, err := TierSweep(TierBenchLoads(), 4, 1, 1)
@@ -44,8 +44,7 @@ func TestTierFloorRejects(t *testing.T) {
 	ok := &TierBench{
 		ThreeWayP99Ms: 1, EdgeOnlyP99Ms: 2, CloudOnlyP99Ms: 2,
 		ThreeWayGeoMs: 1, EdgeOnlyGeoMs: 2, CloudOnlyGeoMs: 2,
-		ShardParity: true,
-		Cells:       []*TierBenchCell{{Promotions: 1}},
+		Cells: []*TierBenchCell{{Promotions: 1}},
 	}
 	if err := ok.CheckFloor(); err != nil {
 		t.Fatalf("healthy bench rejected: %v", err)
@@ -57,7 +56,6 @@ func TestTierFloorRejects(t *testing.T) {
 	}{
 		{"p99", func(b *TierBench) { b.ThreeWayP99Ms = 3 }, "p99 floor"},
 		{"geomean", func(b *TierBench) { b.ThreeWayGeoMs = 3 }, "geomean floor"},
-		{"parity", func(b *TierBench) { b.ShardParity = false }, "diverged"},
 		{"vacuous", func(b *TierBench) { b.Cells = []*TierBenchCell{{}} }, "vacuous"},
 	}
 	for _, tc := range cases {

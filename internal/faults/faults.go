@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -216,6 +217,10 @@ func Parse(spec string) (*Plan, error) {
 	return p, nil
 }
 
+// maxDuration is the longest duration whose picosecond count fits the
+// simulated clock's int64 (about 2562 h).
+const maxDuration = time.Duration(math.MaxInt64 / int64(simtime.Nanosecond))
+
 func parseDuration(s string) (simtime.PS, error) {
 	d, err := time.ParseDuration(s)
 	if err != nil {
@@ -223,6 +228,9 @@ func parseDuration(s string) (simtime.PS, error) {
 	}
 	if d < 0 {
 		return 0, fmt.Errorf("negative duration %v", d)
+	}
+	if d > maxDuration {
+		return 0, fmt.Errorf("duration %v exceeds the simulated clock's range (max %v)", d, maxDuration)
 	}
 	return simtime.PS(d.Nanoseconds()) * simtime.Nanosecond, nil
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/simtime"
@@ -141,5 +142,41 @@ func TestParseRejectsGarbage(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
+	}
+}
+
+// TestParseDurationOverflow: durations whose picosecond count overflows
+// int64 must be rejected by name. Unbounded, 3000h wrapped negative (a
+// confusing "negative time" error) and 6000h wrapped all the way around
+// to a silently accepted ~875.9h.
+func TestParseDurationOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		server bool
+	}{
+		{"outage=3000h-3001h", false},
+		{"outage=6000h-6001h", false},
+		{"spike=6000h", false},
+		{"crash=0@3000h", true},
+		{"drain=1@6000h", true},
+		{"stall=0@1s-6000h", true},
+	} {
+		var err error
+		if tc.server {
+			_, err = ParseServer(tc.spec)
+		} else {
+			_, err = Parse(tc.spec)
+		}
+		if err == nil || !strings.Contains(err.Error(), "exceeds the simulated clock's range") {
+			t.Errorf("%q: got %v, want an out-of-range error", tc.spec, err)
+		}
+	}
+	// The largest whole hour that fits still parses exactly.
+	p, err := ParseServer("crash=0@2562h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2562 * 3600 * simtime.Second; p.Events[0].Start != want {
+		t.Errorf("crash=0@2562h parsed as %v, want %v", p.Events[0].Start, want)
 	}
 }

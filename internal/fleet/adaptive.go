@@ -66,9 +66,9 @@ func (a *Adaptive) validate() error {
 	return nil
 }
 
-// controller runs the Adaptive feedback loop. It lives on the machine, so
-// both engines step it from the same handlers in the same global event
-// order: the control trajectory is part of the deterministic schedule.
+// controller runs the Adaptive feedback loop. It lives on the machine and
+// steps from the handlers in global event order: the control trajectory is
+// part of the deterministic schedule.
 type controller struct {
 	cfg  Adaptive
 	next simtime.PS // next period boundary

@@ -17,11 +17,10 @@ const (
 // intrinsic to the simulation rather than an artifact of a global push
 // counter: the lane is the entity the event belongs to (client id for
 // ready events, clients+serverIndex for server-side events) and seq is
-// the per-lane push ordinal. Both engines assign identical keys to
-// identical logical events, which is what lets the sharded engine merge
-// per-shard streams back into the sequential engine's exact total order —
-// and why equal-time events tie-break by (lane, seq), not by whichever
-// heap insertion happened first.
+// the per-lane push ordinal. Equal-time events therefore tie-break by
+// (lane, seq), not by whichever heap insertion happened first, so the
+// schedule — and every stored Result digest — depends only on which
+// entity did what, never on the interleaving of pushes across entities.
 type event struct {
 	t    simtime.PS
 	j    *job
@@ -40,22 +39,6 @@ func (a *event) before(b *event) bool {
 		return a.lane < b.lane
 	}
 	return a.seq < b.seq
-}
-
-// laneSeq hands out per-lane push ordinals for a contiguous lane range.
-type laneSeq struct {
-	base int32
-	seqs []int32
-}
-
-func newLaneSeq(base int32, lanes int) laneSeq {
-	return laneSeq{base: base, seqs: make([]int32, lanes)}
-}
-
-func (l *laneSeq) next(lane int32) int32 {
-	s := l.seqs[lane-l.base]
-	l.seqs[lane-l.base] = s + 1
-	return s
 }
 
 // eventQueue is a plain binary min-heap over the (t, lane, seq) order.
@@ -114,92 +97,19 @@ func (q *eventQueue) siftDown(i int) {
 	}
 }
 
-// schedQueue is an eventQueue that assigns lane ordinals at push time —
-// the scheduling front-end used by the sequential engine (all lanes) and
-// by each shard (its own client lanes).
+// schedQueue is an eventQueue that assigns per-lane push ordinals at
+// push time: the scheduling front-end over every client and server lane.
 type schedQueue struct {
 	eventQueue
-	seq laneSeq
+	seqs []int32
 }
 
-func newSchedQueue(base int32, lanes int) *schedQueue {
-	return &schedQueue{seq: newLaneSeq(base, lanes)}
+func newSchedQueue(lanes int) *schedQueue {
+	return &schedQueue{seqs: make([]int32, lanes)}
 }
 
 func (q *schedQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {
-	q.push(event{t: t, lane: lane, seq: q.seq.next(lane), si: si, kind: kind, j: j})
+	seq := q.seqs[lane]
+	q.seqs[lane] = seq + 1
+	q.push(event{t: t, lane: lane, seq: seq, si: si, kind: kind, j: j})
 }
-
-// maxPS is the +infinity sentinel of the simulated clock.
-const maxPS = simtime.PS(1<<63 - 1)
-
-// windowQueue is the sharded coordinator's two-tier scheduler: a small
-// heap holds only the events due inside the current conservative window,
-// everything later sits in an unordered overflow buffer that is swept
-// once per window. The sequential engine's single heap spans every
-// pending event (~one per client), so each operation walks a
-// cache-hostile log N path; here the heap stays window-sized and
-// L2-resident, and the sweep touches each far-future event once per
-// window instead of once per heap level. Ordering is unaffected: events
-// enter the heap before their window is processed, and the heap resolves
-// the full (t, lane, seq) key.
-type windowQueue struct {
-	cur     eventQueue
-	future  []event
-	fmin    simtime.PS
-	horizon simtime.PS
-	seq     laneSeq
-}
-
-func newWindowQueue(base int32, lanes int) *windowQueue {
-	return &windowQueue{fmin: maxPS, seq: newLaneSeq(base, lanes)}
-}
-
-func (q *windowQueue) sched(t simtime.PS, kind uint8, lane, si int32, j *job) {
-	ev := event{t: t, lane: lane, seq: q.seq.next(lane), si: si, kind: kind, j: j}
-	if t < q.horizon {
-		q.cur.push(ev)
-		return
-	}
-	q.future = append(q.future, ev)
-	if t < q.fmin {
-		q.fmin = t
-	}
-}
-
-// advance opens the window ending at horizon: due overflow events move
-// into the heap (swap-removal; their relative order is restored by the
-// heap's full key).
-func (q *windowQueue) advance(horizon simtime.PS) {
-	q.horizon = horizon
-	if q.fmin >= horizon {
-		return
-	}
-	fmin := maxPS
-	f := q.future
-	for i := 0; i < len(f); {
-		if f[i].t < horizon {
-			q.cur.push(f[i])
-			f[i] = f[len(f)-1]
-			f = f[:len(f)-1]
-			continue
-		}
-		if f[i].t < fmin {
-			fmin = f[i].t
-		}
-		i++
-	}
-	q.future = f
-	q.fmin = fmin
-}
-
-// minPending is the earliest event anywhere in the queue (maxPS if empty).
-func (q *windowQueue) minPending() simtime.PS {
-	min := q.fmin
-	if !q.cur.empty() && q.cur.top().t < min {
-		min = q.cur.top().t
-	}
-	return min
-}
-
-func (q *windowQueue) pending() bool { return !q.cur.empty() || len(q.future) > 0 }

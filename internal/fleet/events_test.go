@@ -9,9 +9,9 @@ import (
 // TestEventOrderTieBreak pins the intrinsic total order: equal-time events
 // pop by (lane, seq), independent of push order. The old heap broke ties
 // by a global insertion counter, which made the schedule an artifact of
-// who pushed first — impossible to reproduce from per-shard streams.
+// who pushed first.
 func TestEventOrderTieBreak(t *testing.T) {
-	q := newSchedQueue(0, 4)
+	q := newSchedQueue(4)
 	at := 100 * simtime.Millisecond
 	// Push a late lane-0 event first (it takes lane 0's seq 0), then the
 	// tie group in descending lane order, then an early lane-2 event.
@@ -48,49 +48,6 @@ func TestEventOrderTieBreak(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("pop %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestWindowQueueMatchesHeap: the coordinator's two-tier scheduler must
-// replay exactly the plain heap's order regardless of how events straddle
-// window boundaries.
-func TestWindowQueueMatchesHeap(t *testing.T) {
-	plain := newSchedQueue(0, 8)
-	wq := newWindowQueue(0, 8)
-	r := entityStream(42, 0)
-	type src struct {
-		t    simtime.PS
-		lane int32
-	}
-	var evs []src
-	for i := 0; i < 500; i++ {
-		evs = append(evs, src{t: simtime.PS(r.intn(1000)) * simtime.Millisecond, lane: int32(r.intn(8))})
-	}
-	for _, e := range evs {
-		plain.sched(e.t, evReady, e.lane, 0, nil)
-		wq.sched(e.t, evReady, e.lane, 0, nil)
-	}
-
-	var want []event
-	for !plain.empty() {
-		want = append(want, plain.pop())
-	}
-	var got []event
-	for wq.pending() {
-		horizon := wq.minPending() + 50*simtime.Millisecond
-		wq.advance(horizon)
-		for !wq.cur.empty() && wq.cur.top().t < horizon {
-			got = append(got, wq.cur.pop())
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("window queue yielded %d events, heap %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].t != want[i].t || got[i].lane != want[i].lane || got[i].seq != want[i].seq {
-			t.Fatalf("event %d: window queue (%v,%d,%d) != heap (%v,%d,%d)",
-				i, got[i].t, got[i].lane, got[i].seq, want[i].t, want[i].lane, want[i].seq)
 		}
 	}
 }

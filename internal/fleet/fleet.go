@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/tiers"
@@ -112,14 +111,12 @@ type Config struct {
 	Adaptive Adaptive
 	// Workload is the synthetic request population.
 	Workload WorkloadModel
-	// Shards selects the engine: 0 (the zero value) runs the sequential
-	// reference engine, n >= 1 runs the sharded parallel engine with n
-	// worker shards. Every choice produces bit-identical Results; Shards
-	// only trades wall-clock for cores.
+	// Deprecated: ignored. Every run uses the single event loop; the
+	// field remains only so callers that assign it still compile.
 	Shards int
-	// LinkProfiles names the netsim presets cycled across clients
-	// (client i gets a Clone of profile i mod len). Empty defaults to
-	// {"fast", "slow", "lte"}.
+	// LinkProfiles names the netsim presets cycled across clients:
+	// client i uses profile i mod len, and clients on the same profile
+	// share one immutable Link. Empty defaults to {"fast", "slow", "lte"}.
 	LinkProfiles []string
 
 	// ServerFaults schedules deterministic server faults against pool
@@ -148,7 +145,7 @@ type Config struct {
 	// slowest-K jobs, the K worst of each anomaly class (shed / migrated /
 	// faulted) and a K-sized seeded baseline, flushed into the Tracer ring
 	// at end of run. Zero (the default) records nothing extra. Retention
-	// is deterministic and shard-invariant.
+	// is deterministic.
 	Exemplars int
 
 	// Tracer receives fleet.dispatch / fleet.queue / fleet.shed events
@@ -249,19 +246,8 @@ func (c *Config) Validate() error {
 	if err := c.Adaptive.validate(); err != nil {
 		return err
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("fleet: negative shard count %d (0 selects the sequential engine)", c.Shards)
-	}
 	if c.Exemplars < 0 {
 		return fmt.Errorf("fleet: negative exemplar count %d (0 disables the tail sampler)", c.Exemplars)
-	}
-	if c.Shards > 0 {
-		if _, _, err := buildClients(c); err != nil {
-			return err
-		}
-		if c.lookahead() < 1 {
-			return fmt.Errorf("fleet: sharded engine needs lookahead >= 1ps (think floor + min(TmMin, link floor)); zero-cost links with zero think times leave the conservative window empty")
-		}
 	}
 	if err := c.ServerFaults.Validate(); err != nil {
 		return err
@@ -280,78 +266,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// thinkFloor is the smallest pause any completion-to-next-request chain
-// can exhibit: the think-time floor, deflated by the diurnal peak (and
-// one ps for float truncation slack).
-func (c *Config) thinkFloor() simtime.PS {
-	think := c.Workload.ThinkMin
-	if c.Workload.DiurnalAmp > 0 {
-		think = simtime.PS(float64(think)/(1+c.Workload.DiurnalAmp)) - 1
-		if think < 0 {
-			think = 0
-		}
-	}
-	return think
-}
-
-// lookahead is the sharded engine's conservative window size: a lower
-// bound on the delay between any processed event and the earliest client
-// ready event it can cause. Every completion path charges at least the
-// think floor plus either a full local execution (declines, sheds,
-// fallbacks: >= TmMin) or the reply leg of an offload (>= the cheapest
-// link's fixed per-message cost). Events inside a window therefore never
-// generate work before the window's end, which is what makes the
-// barrier safe.
-func (c *Config) lookahead() simtime.PS {
-	step := c.Workload.TmMin
-	profiles := c.LinkProfiles
-	if len(profiles) == 0 {
-		profiles = defaultLinkProfiles
-	}
-	for _, name := range profiles {
-		l, err := netsim.Profile(name)
-		if err != nil {
-			continue // Validate rejects unknown profiles via buildClients
-		}
-		// TransferTime charges Latency + PerMessage on every leg unless
-		// the active bandwidth is 0 (the ideal-link convention: transfers
-		// are free). Phases vary only bandwidth, so a single zero-bandwidth
-		// regime anywhere collapses the link's floor to 0.
-		floor := l.Latency + l.PerMessage
-		if l.BandwidthBps == 0 {
-			floor = 0
-		}
-		for _, ph := range l.Phases {
-			if ph.BandwidthBps == 0 {
-				floor = 0
-			}
-		}
-		if floor < step {
-			step = floor
-		}
-	}
-	return c.thinkFloor() + step
-}
-
 // defaultLinkProfiles is the client-link cycle used when Config leaves
 // LinkProfiles empty.
 var defaultLinkProfiles = []string{"fast", "slow", "lte"}
-
-// ClientLink stamps out client i's private link from the profile cycle:
-// a Clone of profiles[i mod len] named "<profile>#<i>". It is what gives
-// the fleet its heterogeneous client population without repeating phase
-// tables.
-func ClientLink(profiles []string, i int) (*netsim.Link, error) {
-	if len(profiles) == 0 {
-		profiles = defaultLinkProfiles
-	}
-	name := profiles[i%len(profiles)]
-	l, err := netsim.Profile(name)
-	if err != nil {
-		return nil, err
-	}
-	return l.Clone(fmt.Sprintf("%s#%d", name, i)), nil
-}
 
 // rng is a splitmix64 stream: tiny, seedable, and stable across Go
 // versions (math/rand's shuffling internals are not part of its
@@ -365,8 +282,8 @@ const dispatcherEntity = ^uint64(0)
 // entityStream derives entity id's private stream from the run seed by
 // mixing the id through two rounds of the splitmix64 finalizer. Streams
 // depend only on (seed, id) — never on draw interleaving or on how many
-// other entities exist — so shard count cannot change a single workload
-// draw. The old derivation xor'ed the seed with id multiples of the
+// other entities exist — so no change in event order can shift a single
+// workload draw. The old derivation xor'ed the seed with id multiples of the
 // golden-ratio increment, which made every client's stream a linear
 // offset of its neighbors' on the same splitmix64 orbit; mixing breaks
 // that correlation.

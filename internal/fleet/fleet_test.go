@@ -233,32 +233,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestClientLinkCycle: clients cycle the profile list and own independent
-// clones.
-func TestClientLinkCycle(t *testing.T) {
-	a, err := ClientLink(nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ClientLink(nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name != "fast#0" || b.Name != "fast#3" {
-		t.Errorf("default cycle names: %q, %q", a.Name, b.Name)
-	}
-	if a == b {
-		t.Errorf("clients 0 and 3 share a link")
-	}
-	a.BandwidthBps = 1
-	if b.BandwidthBps == 1 {
-		t.Errorf("mutating client 0's link leaked into client 3's")
-	}
-	if _, err := ClientLink([]string{"nope"}, 0); err == nil {
-		t.Errorf("unknown profile accepted")
-	}
-}
-
 // TestPercentile pins the nearest-rank convention.
 func TestPercentile(t *testing.T) {
 	lat := []simtime.PS{10, 20, 30, 40}

@@ -208,9 +208,7 @@ const (
 )
 
 // doneMsg tells a client its request completed. It is the only message
-// that crosses from the server-side machine back to client-side state:
-// the sequential engine applies it inline, the sharded engine mails it to
-// the owning shard at the window boundary.
+// that crosses from the server-side machine back to client-side state.
 type doneMsg struct {
 	ci     int32
 	kind   uint8
@@ -244,17 +242,16 @@ type intent struct {
 	ci   int32
 }
 
-// machine is the server-side state machine shared by both engines:
-// dispatcher, Equation-1 gate, admission control, slots/queues and the
-// fault/recovery plane. Every mutation of global state happens here, in
-// strict (t, lane, seq) event order regardless of engine — the sequential
-// driver feeds it from one heap, the sharded driver from a deterministic
-// merge of per-shard streams — which is what makes the engines
-// bit-identical.
+// machine is the fleet's state machine: the event queue and client table,
+// the dispatcher, the Equation-1 gate, admission control, slots/queues and
+// the fault/recovery plane. Run pops its queue in strict (t, lane, seq)
+// order, so every mutation happens in an order fixed by the configuration
+// alone.
 type machine struct {
 	cfg      *Config
+	q        *schedQueue
+	clients  []clientState
 	servers  []*server
-	links    []*netsim.Link // per-client links, immutable during the run
 	disp     dispatcher
 	backhaul *netsim.Link
 
@@ -276,37 +273,34 @@ type machine struct {
 	margin float64
 	ctrl   *controller
 
-	st    *Stats // server-side counters (client-side outcomes live in the shards)
+	st    *Stats
 	hWait *obs.Histogram
 	mWait *obs.Histogram
 
-	// samp is the tail sampler (nil unless Config.Exemplars > 0). It
-	// lives in the machine because every completion is delivered here in
-	// the serial core, whose event order is bit-identical across engines
-	// — which makes the retained exemplar set shard-invariant for free.
+	// samp is the tail sampler (nil unless Config.Exemplars > 0). Every
+	// completion is delivered through the machine in event order, so the
+	// retained exemplar set is deterministic.
 	samp *sampler
-
-	sched func(t simtime.PS, kind uint8, si int32, j *job)
-	emit  func(msg doneMsg)
 
 	jobSeq int64
 	free   []*job
 }
 
-func newMachine(cfg *Config, links []*netsim.Link, st *Stats) *machine {
+func newMachine(cfg *Config, clients []clientState) *machine {
 	servers := make([]*server, len(cfg.Servers))
 	for i, spec := range cfg.Servers {
 		servers[i] = &server{spec: spec}
 	}
 	m := &machine{
 		cfg:      cfg,
+		q:        newSchedQueue(len(clients) + len(servers)),
+		clients:  clients,
 		servers:  servers,
-		links:    links,
 		disp:     dispatcher{policy: cfg.Policy, rng: entityStream(cfg.Seed, dispatcherEntity)},
 		backhaul: netsim.Backhaul(),
 		adm:      cfg.Admission,
 		margin:   1,
-		st:       st,
+		st:       NewStats(),
 		hWait:    obs.NewHistogram(),
 		mWait:    cfg.Metrics.Histogram("lat.queue_wait_ps"),
 		samp:     newSampler(cfg),
@@ -356,6 +350,12 @@ func (m *machine) scheduleFaults() {
 	}
 }
 
+// sched queues an event on server si's lane, which follows every client
+// lane.
+func (m *machine) sched(t simtime.PS, kind uint8, si int32, j *job) {
+	m.q.sched(t, kind, int32(len(m.clients))+si, si, j)
+}
+
 func (m *machine) recordWait(si int32, w simtime.PS) {
 	m.hWait.Record(int64(w))
 	m.mWait.Record(int64(w))
@@ -385,9 +385,10 @@ func (m *machine) freeJob(j *job) {
 }
 
 // complete finalizes a job's span record, feeds the tail sampler, and
-// delivers the completion to the owning client. Every terminal path of a
-// job funnels through here, so the sampler observes each logical request
-// exactly once, in the serial core's deterministic order.
+// delivers the completion to the owning client: the outcome is tallied
+// and the client's next ready event is scheduled one think time later.
+// Every terminal path of a job funnels through here, so the sampler
+// observes each logical request exactly once, in event order.
 func (m *machine) complete(r *jobRec, msg doneMsg) {
 	if r != nil {
 		r.out = msg.kind
@@ -396,12 +397,15 @@ func (m *machine) complete(r *jobRec, msg doneMsg) {
 		r.done = msg.done
 		m.samp.observe(r, m.cfg.Tracer)
 	}
-	m.emit(msg)
+	m.st.Events++
+	m.st.record(msg)
+	next := msg.done + nextThink(m.cfg, &m.clients[msg.ci], msg.done)
+	m.q.sched(next, evReady, msg.ci, 0, nil)
 }
 
 // stepCtrl advances the adaptive controller across any period boundaries
-// up to now. Both engines call it from the same handlers in the same
-// global event order, so the control trajectory is deterministic.
+// up to now. It runs from the handlers in global event order, so the
+// control trajectory is deterministic.
 func (m *machine) stepCtrl(now simtime.PS) {
 	c := m.ctrl
 	if c == nil {
@@ -621,7 +625,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 		// of shedding it, when the WAN detour still beats the local
 		// fallback the shed would force.
 		if j.tier == tierEdge && m.cfg.Migrate && m.topo.EffectiveMode() == tiers.ThreeWay {
-			notice := m.links[j.client].At(now).TransferTime(shedNoticeBytes)
+			notice := m.clients[j.client].link.At(now).TransferTime(shedNoticeBytes)
 			if m.demote(now, si, j, notice+j.tm, false) {
 				m.freeJob(j)
 				return
@@ -630,7 +634,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 		m.ctrl.noteShed()
 		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KShed, Track: obs.TrackFleet,
 			A0: int64(j.client), A1: int64(si), A2: int64(depth), Job: j.id})
-		notice := m.links[j.client].At(now).TransferTime(shedNoticeBytes)
+		notice := m.clients[j.client].link.At(now).TransferTime(shedNoticeBytes)
 		// Local fallback: the client hears the reject, then runs the
 		// task itself.
 		if r := j.rec; r != nil {
@@ -989,7 +993,7 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 				r.mark(now, segQueueLost, si)
 			}
 		}
-		reup := m.links[j.client].At(now + detectDelay).TransferTime(j.mem)
+		reup := m.clients[j.client].link.At(now + detectDelay).TransferTime(j.mem)
 		if m.cfg.Migrate {
 			j.rec.mark(now+detectDelay, segDetect, -1)
 			if m.relocate(j, j.tm, now+detectDelay+reup, now+detectDelay, segResend) {
@@ -1102,9 +1106,9 @@ func (m *machine) handleServerEvent(ev event) {
 	}
 }
 
-// finishRun checks the end-of-run invariants and assembles the Result
-// from the merged stats.
-func (m *machine) finishRun(st *Stats, now simtime.PS) (*Result, error) {
+// finishRun checks the end-of-run invariants and assembles the Result.
+func (m *machine) finishRun(now simtime.PS) (*Result, error) {
+	st := m.st
 	for i, s := range m.servers {
 		s.advance(now)
 		// Slot-accounting invariants: every reservation must have

@@ -7,22 +7,18 @@ import (
 	"repro/internal/simtime"
 )
 
-// clientState is one simulated mobile device. Client-side logic (workload
-// draws from the client's private stream, link pricing, completion
-// bookkeeping) touches no global simulation state, which is what lets the
-// sharded engine run it on worker goroutines: any interleaving of
-// different clients' handlers is equivalent.
+// clientState is one simulated mobile device: its private workload
+// stream, its access link, and how many requests it still owes.
 type clientState struct {
 	rng       rng
 	link      *netsim.Link
 	remaining int
 }
 
-// buildClients materializes the client population and the per-client link
-// table. Clients on the same profile share one immutable Link instance —
-// the per-client Clone the old engine made existed only to stamp a
-// distinct name, which at a million clients is real memory.
-func buildClients(cfg *Config) ([]clientState, []*netsim.Link, error) {
+// buildClients materializes the client population. Clients on the same
+// profile share one immutable Link instance: a per-client Clone would only
+// stamp a distinct name, which at a million clients is real memory.
+func buildClients(cfg *Config) ([]clientState, error) {
 	profiles := cfg.LinkProfiles
 	if len(profiles) == 0 {
 		profiles = defaultLinkProfiles
@@ -31,21 +27,19 @@ func buildClients(cfg *Config) ([]clientState, []*netsim.Link, error) {
 	for i, name := range profiles {
 		l, err := netsim.Profile(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		base[i] = l
 	}
 	clients := make([]clientState, cfg.Clients)
-	links := make([]*netsim.Link, cfg.Clients)
 	for i := range clients {
-		links[i] = base[i%len(base)]
 		clients[i] = clientState{
 			rng:       entityStream(cfg.Seed, uint64(i)),
-			link:      links[i],
+			link:      base[i%len(base)],
 			remaining: cfg.RequestsPerClient,
 		}
 	}
-	return clients, links, nil
+	return clients, nil
 }
 
 // nextThink draws the client's pause before its next request, issued at
@@ -82,9 +76,8 @@ func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *Stat
 	st.Requests++
 	// The logical JobID: fixed here, at issue time, from (client, ordinal)
 	// alone — 1-based so id 0 stays "unattributed" — and carried through
-	// every continuation of the request's life. Being a pure function of
-	// the client's identity, it is identical under every engine and shard
-	// count.
+	// every continuation of the request's life: a pure function of the
+	// client's identity, independent of event interleaving.
 	ord := int64(cfg.RequestsPerClient - cs.remaining)
 	tm := cs.rng.rangePS(cfg.Workload.TmMin, cfg.Workload.TmMax)
 	mem := cs.rng.rangeI64(cfg.Workload.MemMin, cfg.Workload.MemMax)
@@ -102,69 +95,39 @@ func issueReady(cfg *Config, cs *clientState, ci int32, now simtime.PS, st *Stat
 	}, true
 }
 
-// applyDone records one completed request on the client and returns when
-// its next ready event fires.
-func applyDone(cfg *Config, cs *clientState, msg doneMsg, st *Stats) simtime.PS {
-	st.Events++
-	st.record(msg)
-	return msg.done + nextThink(cfg, cs, msg.done)
-}
-
 // Run executes one fleet simulation to completion and returns its
-// statistics. The run is strictly deterministic in cfg (including Seed
-// and Shards): Shards == 0 runs the sequential reference engine, any
-// Shards >= 1 runs the sharded parallel engine, and every choice produces
-// bit-identical Results — per-entity RNG streams and the intrinsic
-// (t, lane, seq) event order make the schedule a property of the
-// configuration, not of the execution strategy.
+// statistics. The run is strictly deterministic in cfg (including Seed):
+// per-entity RNG streams and the intrinsic (t, lane, seq) event order make
+// the schedule a property of the configuration alone. One heap holds every
+// lane's pending events; ready events issue client requests, everything
+// else is a server-lane event.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 0 {
-		return runSharded(cfg)
-	}
-	return runSequential(cfg)
-}
-
-// runSequential is the single-heap reference engine: one event queue over
-// every lane, the machine's handlers invoked inline. It is kept as the
-// differential oracle for the sharded engine — same state machine, no
-// concurrency anywhere.
-func runSequential(cfg Config) (*Result, error) {
-	clients, links, err := buildClients(&cfg)
+	clients, err := buildClients(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	st := NewStats()
-	m := newMachine(&cfg, links, st)
-	nc := int32(cfg.Clients)
-	q := newSchedQueue(0, cfg.Clients+len(cfg.Servers))
-	m.sched = func(t simtime.PS, kind uint8, si int32, j *job) {
-		q.sched(t, kind, nc+si, si, j)
-	}
-	m.emit = func(msg doneMsg) {
-		next := applyDone(&cfg, &clients[msg.ci], msg, st)
-		q.sched(next, evReady, msg.ci, 0, nil)
-	}
+	m := newMachine(&cfg, clients)
 
 	// Stagger the fleet's first wave by one think time per client.
 	for i := range clients {
-		q.sched(nextThink(&cfg, &clients[i], 0), evReady, int32(i), 0, nil)
+		m.q.sched(nextThink(&cfg, &clients[i], 0), evReady, int32(i), 0, nil)
 	}
 	m.scheduleFaults()
 
 	var now simtime.PS
-	for !q.empty() {
-		ev := q.pop()
+	for !m.q.empty() {
+		ev := m.q.pop()
 		now = ev.t
 		if ev.kind == evReady {
-			if in, ok := issueReady(&cfg, &clients[ev.lane], ev.lane, ev.t, st); ok {
+			if in, ok := issueReady(&cfg, &clients[ev.lane], ev.lane, ev.t, m.st); ok {
 				m.handleIntent(in)
 			}
 			continue
 		}
 		m.handleServerEvent(ev)
 	}
-	return m.finishRun(st, now)
+	return m.finishRun(now)
 }

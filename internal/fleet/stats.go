@@ -9,15 +9,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// Stats is the raw, mergeable tally one engine lane accumulates while a
-// run is in flight: outcome counters, the latency population, and the
-// end-to-end latency histogram. The sequential engine keeps a single
-// Stats; the sharded engine gives each shard (and the coordinator) its
-// own and merges them at the end. Merging is exact — counters add, the
-// latency population concatenates (every aggregate in Result is computed
-// after a sort, so order never matters), and the histogram merges
-// bucket-wise — so the merged Stats is indistinguishable from one that
-// observed every completion itself.
+// Stats is the raw tally a run accumulates while in flight: outcome
+// counters, the latency population, and the end-to-end latency histogram.
 type Stats struct {
 	// Client-side outcome counters.
 	Requests  int
@@ -45,43 +38,20 @@ type Stats struct {
 	Demotions  int
 
 	// Events counts state-machine transitions (every processed event,
-	// decision intent, and delivered completion) — the engine-invariant
-	// work measure the scale benchmarks report as events/sec.
+	// decision intent, and delivered completion) — the work measure the
+	// scale benchmarks report as events/sec.
 	Events int64
 
 	// Latencies is the end-to-end latency population (decision to result
 	// in hand), one entry per completed request.
 	Latencies []simtime.PS
-	// E2E is the same population as a mergeable histogram.
+	// E2E is the same population as a histogram.
 	E2E *obs.Histogram
 }
 
 // NewStats returns an empty tally.
 func NewStats() *Stats {
 	return &Stats{E2E: obs.NewHistogram()}
-}
-
-// Merge folds o into s. Safe when o is nil.
-func (s *Stats) Merge(o *Stats) {
-	if o == nil {
-		return
-	}
-	s.Requests += o.Requests
-	s.Offloads += o.Offloads
-	s.Declines += o.Declines
-	s.Sheds += o.Sheds
-	s.Fallbacks += o.Fallbacks
-	s.DeadlineMisses += o.DeadlineMisses
-	s.EdgeOffloads += o.EdgeOffloads
-	s.CloudOffloads += o.CloudOffloads
-	s.Dispatched += o.Dispatched
-	s.Migrations += o.Migrations
-	s.Retried += o.Retried
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
-	s.Events += o.Events
-	s.Latencies = append(s.Latencies, o.Latencies...)
-	s.E2E.Merge(o.E2E)
 }
 
 // record tallies one completion message.
@@ -152,9 +122,8 @@ type Result struct {
 	// dispatch-time deadline — completions the client had already given
 	// up on. The adaptive admission controller treats these as overruns.
 	DeadlineMisses int `json:"deadline_misses"`
-	// Events is the total state-machine transition count, identical
-	// across engines and shard counts; events per wall-clock second is
-	// the scale benchmark's throughput metric.
+	// Events is the total state-machine transition count; events per
+	// wall-clock second is the scale benchmark's throughput metric.
 	Events int64 `json:"events"`
 
 	// LocalRate is the fraction of requests that ran on the client
@@ -182,7 +151,7 @@ type Result struct {
 	// reflect what an arriving request actually experiences.
 	QueueWait obs.HistSnapshot `json:"queue_wait_hist"`
 	// E2E is the end-to-end latency distribution (ps) over every
-	// completed request, streamed through per-shard histograms.
+	// completed request.
 	E2E obs.HistSnapshot `json:"e2e_hist"`
 
 	// TraceDropped surfaces the tracer ring's overwrite count, so a bench

@@ -25,9 +25,8 @@ import (
 // of each anomaly category (shed / migrated / faulted), and a K-sized
 // seeded baseline population. Retention is decided by total orders on
 // (latency, id) and on a per-entity hash from entityStream(seed, id) —
-// both independent of observation order — and every decision runs in the
-// serial machine core, so the retained set is bit-identical across shard
-// counts by construction. At end of run the retained trees flush into
+// both independent of observation order — so the retained set is a
+// property of the configuration alone. At end of run the retained trees flush into
 // the existing bounded tracer ring as KJob/KJobSeg span events; a
 // million-client sweep keeps exemplar traces inside the same ring that
 // already bounds the live stream.
@@ -155,8 +154,7 @@ type setEntry struct {
 
 // keepSet retains the k highest-scored recs seen so far. Scores are
 // unique (b embeds the job id), so the surviving set is a property of the
-// observed population, not of observation order — the shard-invariance
-// argument.
+// observed population, not of observation order.
 type keepSet struct {
 	k  int
 	es []setEntry // sorted ascending by (a, b)
@@ -362,15 +360,15 @@ func (sp *sampler) flush(tr *obs.Tracer) []Exemplar {
 // retention categories and the exact critical-path segments. Segments sum
 // to LatencyPS — the machine-readable form of the analyzer's identity.
 type Exemplar struct {
-	Job        int64      `json:"job"`
-	Parent     int64      `json:"parent_job,omitempty"`
-	Client     int32      `json:"client"`
-	Server     int32      `json:"server"` // final server, -1 local
-	Tier       string     `json:"tier,omitempty"`
-	Outcome    string     `json:"outcome"`
-	Missed     bool       `json:"missed,omitempty"`
-	LatencyPS  int64      `json:"latency_ps"`
-	Categories []string   `json:"categories"`
+	Job        int64       `json:"job"`
+	Parent     int64       `json:"parent_job,omitempty"`
+	Client     int32       `json:"client"`
+	Server     int32       `json:"server"` // final server, -1 local
+	Tier       string      `json:"tier,omitempty"`
+	Outcome    string      `json:"outcome"`
+	Missed     bool        `json:"missed,omitempty"`
+	LatencyPS  int64       `json:"latency_ps"`
+	Categories []string    `json:"categories"`
 	Segments   []ExSegment `json:"segments"`
 }
 

@@ -90,37 +90,6 @@ func (h *Histogram) Record(v int64) {
 	h.buckets[bucketIndex(v)].Add(1)
 }
 
-// Merge folds every observation recorded in o into h. The merge is exact:
-// bucket counts, count and sum add, max takes the larger, so a histogram
-// assembled by merging per-shard histograms snapshots identically to one
-// that recorded the same observations through a single instance. This is
-// what lets the sharded fleet engine stream stats through shard-local
-// histograms and still produce the sequential engine's numbers. Safe on
-// nil (either side) and for concurrent use.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	if c := o.count.Load(); c != 0 {
-		h.count.Add(c)
-	}
-	if s := o.sum.Load(); s != 0 {
-		h.sum.Add(s)
-	}
-	om := o.max.Load()
-	for {
-		old := h.max.Load()
-		if om <= old || h.max.CompareAndSwap(old, om) {
-			break
-		}
-	}
-	for i := range o.buckets {
-		if c := o.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-}
-
 // Count returns the number of recorded observations; 0 on nil.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -177,34 +177,3 @@ func TestEventsWraparound(t *testing.T) {
 		t.Errorf("post-Reset Events = %v", evs)
 	}
 }
-
-// TestHistogramMergeExact: merging shards must be indistinguishable from
-// one histogram that recorded everything — the property the fleet's
-// sharded engine relies on to stream statistics without a global lock.
-func TestHistogramMergeExact(t *testing.T) {
-	whole := NewHistogram()
-	parts := []*Histogram{NewHistogram(), NewHistogram(), NewHistogram()}
-	v := int64(1)
-	for i := 0; i < 5000; i++ {
-		v = (v*6364136223846793005 + 1442695040888963407) & math.MaxInt64
-		whole.Record(v)
-		parts[i%len(parts)].Record(v)
-	}
-	merged := NewHistogram()
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if got, want := merged.Snapshot(), whole.Snapshot(); got != want {
-		t.Errorf("merged snapshot %+v != whole-run snapshot %+v", got, want)
-	}
-
-	// Nil on either side is a no-op, never a panic.
-	var nilH *Histogram
-	nilH.Merge(merged)
-	before := merged.Snapshot()
-	merged.Merge(nil)
-	merged.Merge(NewHistogram())
-	if merged.Snapshot() != before {
-		t.Error("merging nil/empty changed the snapshot")
-	}
-}
