@@ -28,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/report"
@@ -80,7 +79,6 @@ func main() {
 	showHist := flag.Bool("hist", false, "with -w: print the latency histogram snapshots (p50/p90/p99/max)")
 	exemplars := flag.Int("exemplars", 0, "with -exp fleet/fleetscale: retain complete span trees for the N slowest / shed / migrated / faulted jobs plus an N-sized seeded baseline (0 disables the tail sampler)")
 	critPath := flag.Bool("critpath", false, "with -w or -exp fleet: print the per-job critical-path table and the where-the-tail-lives summary from the trace")
-	engineSpec := flag.String("engine", "fast", "execution engine: fast (pre-decoded) or ref (reference tree-walker)")
 	bindStats := flag.Bool("bindstats", false, "print compilation-cache statistics (programs, hits, misses) after the experiments")
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
@@ -109,12 +107,6 @@ func main() {
 		}()
 	}
 
-	eng, err := interp.ParseEngine(*engineSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "offloadbench: -engine: %v\n", err)
-		os.Exit(1)
-	}
-	core.DefaultEngine = eng
 	if *bindStats {
 		defer func() {
 			s := core.DefaultCache.Stats()

@@ -179,7 +179,6 @@ func main() {
 	serverFaultSpec := flag.String("server-faults", "", `inject server faults into the offloaded run, e.g. "crash=0@300ms,slow=0@100ms-2sx3,drain=0@1s"`)
 	migrate := flag.Bool("migrate", false, "enable mid-flight offload migration: on a server fault, checkpoint/ship/resume the task on a spare host instead of falling back locally")
 	tiersMode := flag.String("tiers", "", "place offloads over the mobile -> edge -> cloud hierarchy: 3way, edge-only or cloud-only (empty keeps the classic binary gate)")
-	engineSpec := flag.String("engine", "fast", "execution engine: fast (pre-decoded) or ref (reference tree-walker)")
 	bindStats := flag.Bool("bindstats", false, "print compilation-cache statistics (programs, hits, misses) after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
 	flag.Parse()
@@ -200,12 +199,6 @@ func main() {
 		}()
 	}
 
-	eng, err := interp.ParseEngine(*engineSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "offloadrun: -engine: %v\n", err)
-		os.Exit(1)
-	}
-	core.DefaultEngine = eng
 	if *bindStats {
 		defer func() {
 			s := core.DefaultCache.Stats()
@@ -262,6 +255,7 @@ func main() {
 		os.Exit(1)
 	}
 	var r *experiments.ProgramResult
+	var err error
 	if o.sampleEvery > 0 {
 		if plan != nil {
 			fmt.Fprintln(os.Stderr, "offloadrun: -profile cannot be combined with -faults")

@@ -24,10 +24,8 @@ func profileModule(t *testing.T, mod *ir.Module, io *interp.StdIO) *profile.Repo
 	work := mod.Clone("prof")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, err := interp.NewMachine(interp.Config{
-		Name: "prof", Spec: spec, Mod: work, IO: io,
-		CostScale: workloads.ChessCostScale, InitUVAGlobals: true,
-	})
+	m, err := newInstance(work, interp.CompileConfig{Name: "prof", Spec: spec, InitUVAGlobals: true},
+		interp.WithIO(io), interp.WithCostScale(workloads.ChessCostScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestCompileRejectsUnprofitable(t *testing.T) {
 	work := mod.Clone("p")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work})
+	m, _ := newInstance(work, interp.CompileConfig{Name: "p", Spec: spec})
 	prof, err := profile.Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +207,7 @@ func TestLoopTargetOutlined(t *testing.T) {
 	work := mod.Clone("p")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work, CostScale: 4000})
+	m, _ := newInstance(work, interp.CompileConfig{Name: "p", Spec: spec}, interp.WithCostScale(4000))
 	prof, err := profile.Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -278,4 +276,13 @@ func TestPartitionedBinariesSatisfySSA(t *testing.T) {
 			t.Errorf("%s: %v", m.Name, err)
 		}
 	}
+}
+
+// newInstance compiles the lowered mod under cfg and binds one instance.
+func newInstance(mod *ir.Module, cfg interp.CompileConfig, opts ...interp.InstanceOption) (*interp.Machine, error) {
+	prog, err := interp.Compile(mod, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewInstance(opts...), nil
 }

@@ -85,11 +85,10 @@ type Framework struct {
 	// Equation-1 question. Nil keeps the binary gate.
 	Tiers *tiers.Topology
 
-	// Engine selects the interpreter engine for every machine this
-	// framework builds (RunLocal, RunOffloaded, Profile's machine). The
-	// zero value is the pre-decoded fast engine; interp.EngineRef selects
-	// the reference tree-walker. Profiling runs always fall back to the
-	// reference engine internally because the profiler attaches a Listener.
+	// Engine once selected the interpreter engine.
+	//
+	// Deprecated: ignored; every machine runs the pre-decoded engine, and
+	// profiling runs on it too (the profiler's hooks are compiled in).
 	Engine interp.Engine
 
 	// SampleEvery, when positive, attaches a guest sampling profiler with
@@ -107,11 +106,6 @@ type Framework struct {
 	Cache *interp.CompilationCache
 }
 
-// DefaultEngine is the engine NewFramework installs. It exists so entry
-// points (CLIs, experiments) can flip every framework they construct with a
-// single assignment, e.g. from an -engine flag.
-var DefaultEngine = interp.EngineFast
-
 // DefaultCache is the process-wide compilation cache NewFramework installs:
 // frameworks built anywhere in the process (experiments, fleets, CLIs)
 // share compiled programs keyed by (module digest, architecture binding).
@@ -126,7 +120,6 @@ func NewFramework(n Network) *Framework {
 		CostScale: 1,
 		Scale:     1,
 		RemoteIO:  true,
-		Engine:    DefaultEngine,
 		Cache:     DefaultCache,
 	}
 	switch n {
@@ -169,8 +162,7 @@ func (fw *Framework) Profile(mod *ir.Module, io *interp.StdIO) (*profile.Report,
 	if err != nil {
 		return nil, err
 	}
-	m := prog.NewInstance(interp.WithIO(io), interp.WithCostScale(fw.CostScale),
-		interp.WithEngine(fw.Engine))
+	m := prog.NewInstance(interp.WithIO(io), interp.WithCostScale(fw.CostScale))
 	return profile.Run(m)
 }
 
@@ -204,8 +196,7 @@ func (fw *Framework) RunLocal(mod *ir.Module, io *interp.StdIO) (*LocalResult, e
 	if err != nil {
 		return nil, err
 	}
-	m := prog.NewInstance(interp.WithIO(io), interp.WithCostScale(fw.CostScale),
-		interp.WithEngine(fw.Engine))
+	m := prog.NewInstance(interp.WithIO(io), interp.WithCostScale(fw.CostScale))
 	code, err := m.RunMain()
 	if err != nil {
 		return nil, err
@@ -313,10 +304,8 @@ func (fw *Framework) RunOffloaded(cres *compiler.Result, io *interp.StdIO, pol o
 	if err != nil {
 		return nil, fmt.Errorf("core: server program: %w", err)
 	}
-	mobile := mobileProg.NewInstance(interp.WithIO(io),
-		interp.WithCostScale(fw.CostScale), interp.WithEngine(fw.Engine))
-	server := serverProg.NewInstance(
-		interp.WithCostScale(fw.CostScale), interp.WithEngine(fw.Engine))
+	mobile := mobileProg.NewInstance(interp.WithIO(io), interp.WithCostScale(fw.CostScale))
+	server := serverProg.NewInstance(interp.WithCostScale(fw.CostScale))
 
 	var tasks []offrt.TaskSpec
 	for _, t := range cres.Targets {

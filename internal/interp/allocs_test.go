@@ -49,12 +49,12 @@ func callKernelModule(iters int64) *ir.Module {
 	return mod
 }
 
-func kernelMachine(t testing.TB, mod *ir.Module, eng Engine) (*Machine, *ir.Func) {
+func kernelMachine(t testing.TB, mod *ir.Module) (*Machine, *ir.Func) {
 	t.Helper()
 	work := mod.Clone(mod.Name)
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	m, err := NewMachine(Config{Name: "bench", Spec: spec, Mod: work, InitUVAGlobals: true, Engine: eng})
+	m, err := newInstance(work, CompileConfig{Name: "bench", Spec: spec, InitUVAGlobals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFastEngineZeroAllocSteadyState(t *testing.T) {
 		{"call-return", callKernelModule(256)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, kern := kernelMachine(t, tc.mod, EngineFast)
+			m, kern := kernelMachine(t, tc.mod)
 			if _, err := m.CallFunc(kern); err != nil { // warm: fault pages, fill pools
 				t.Fatal(err)
 			}

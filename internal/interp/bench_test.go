@@ -36,16 +36,16 @@ func loadStoreKernelModule(iters int64) *ir.Module {
 }
 
 // benchEngine runs the kernel under one engine, reporting steps/s.
-func benchEngine(b *testing.B, mod *ir.Module, eng Engine) {
-	m, kern := kernelMachine(b, mod, eng)
-	if _, err := m.CallFunc(kern); err != nil {
+func benchEngine(b *testing.B, mod *ir.Module, eng engine) {
+	m, kern := kernelMachine(b, mod)
+	if _, err := eng.call(m, kern, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := m.Steps
 	for i := 0; i < b.N; i++ {
-		if _, err := m.CallFunc(kern); err != nil {
+		if _, err := eng.call(m, kern, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,26 +55,27 @@ func benchEngine(b *testing.B, mod *ir.Module, eng Engine) {
 	}
 }
 
-// BenchmarkInterpLoop compares the two engines on the canonical
-// load/store/bin/branch loop (the acceptance-criteria benchmark).
+// BenchmarkInterpLoop compares the pre-decoded engine with the
+// tree-walking oracle on the canonical load/store/bin/branch loop (the
+// acceptance-criteria benchmark).
 func BenchmarkInterpLoop(b *testing.B) {
 	mod := loopKernelModule(4096)
-	b.Run("fast", func(b *testing.B) { benchEngine(b, mod, EngineFast) })
-	b.Run("ref", func(b *testing.B) { benchEngine(b, mod, EngineRef) })
+	b.Run("fast", func(b *testing.B) { benchEngine(b, mod, engineFast) })
+	b.Run("ref", func(b *testing.B) { benchEngine(b, mod, engineOracle) })
 }
 
 // BenchmarkLoadStore stresses the page-cache memory fast path.
 func BenchmarkLoadStore(b *testing.B) {
 	mod := loadStoreKernelModule(4096)
-	b.Run("fast", func(b *testing.B) { benchEngine(b, mod, EngineFast) })
-	b.Run("ref", func(b *testing.B) { benchEngine(b, mod, EngineRef) })
+	b.Run("fast", func(b *testing.B) { benchEngine(b, mod, engineFast) })
+	b.Run("ref", func(b *testing.B) { benchEngine(b, mod, engineOracle) })
 }
 
 // BenchmarkCallReturn stresses frame acquisition and argument passing.
 func BenchmarkCallReturn(b *testing.B) {
 	mod := callKernelModule(4096)
-	b.Run("fast", func(b *testing.B) { benchEngine(b, mod, EngineFast) })
-	b.Run("ref", func(b *testing.B) { benchEngine(b, mod, EngineRef) })
+	b.Run("fast", func(b *testing.B) { benchEngine(b, mod, engineFast) })
+	b.Run("ref", func(b *testing.B) { benchEngine(b, mod, engineOracle) })
 }
 
 // BenchmarkDigest measures the semantic-memory hash over a mixed image:
@@ -128,14 +129,14 @@ func TestBenchJSON(t *testing.T) {
 		return out
 	}
 	loop := loopKernelModule(4096)
-	fast := add("InterpLoop/fast", func(b *testing.B) { benchEngine(b, loop, EngineFast) })
-	ref := add("InterpLoop/ref", func(b *testing.B) { benchEngine(b, loop, EngineRef) })
+	fast := add("InterpLoop/fast", func(b *testing.B) { benchEngine(b, loop, engineFast) })
+	ref := add("InterpLoop/ref", func(b *testing.B) { benchEngine(b, loop, engineOracle) })
 	ls := loadStoreKernelModule(4096)
-	add("LoadStore/fast", func(b *testing.B) { benchEngine(b, ls, EngineFast) })
-	add("LoadStore/ref", func(b *testing.B) { benchEngine(b, ls, EngineRef) })
+	add("LoadStore/fast", func(b *testing.B) { benchEngine(b, ls, engineFast) })
+	add("LoadStore/ref", func(b *testing.B) { benchEngine(b, ls, engineOracle) })
 	call := callKernelModule(4096)
-	add("CallReturn/fast", func(b *testing.B) { benchEngine(b, call, EngineFast) })
-	add("CallReturn/ref", func(b *testing.B) { benchEngine(b, call, EngineRef) })
+	add("CallReturn/fast", func(b *testing.B) { benchEngine(b, call, engineFast) })
+	add("CallReturn/ref", func(b *testing.B) { benchEngine(b, call, engineOracle) })
 	add("Digest", BenchmarkDigest)
 
 	speedup := 0.0

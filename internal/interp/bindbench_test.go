@@ -120,10 +120,7 @@ func TestBindBenchJSON(t *testing.T) {
 	if _, err := inst.CallFunc(work.Func("kern")); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := NewMachine(Config{Name: "bench", Spec: cfg.Spec, Mod: work, InitUVAGlobals: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := privateMachine(t, work, cfg)
 	if _, err := legacy.CallFunc(work.Func("kern")); err != nil {
 		t.Fatal(err)
 	}

@@ -7,37 +7,18 @@ import (
 	"repro/internal/ir"
 )
 
-// Engine selects how a Machine executes function bodies.
+// Engine named an execution engine when the interpreter had two. There is
+// one production engine now (the pre-decoded one); the tree-walker survives
+// only as a test oracle.
+//
+// Deprecated: ignored. Kept because perfbench still passes it through
+// WithEngine.
 type Engine int
 
-const (
-	// EngineFast pre-decodes every function into a flat instruction array
-	// at bind time and interprets that (the default). A machine with a
-	// Listener attached falls back to the reference engine regardless,
-	// because the profiler needs per-block clock observations.
-	EngineFast Engine = iota
-	// EngineRef is the original tree-walking interpreter, kept as the
-	// semantic reference the fast engine is differentially tested against.
-	EngineRef
-)
-
-func (e Engine) String() string {
-	if e == EngineRef {
-		return "ref"
-	}
-	return "fast"
-}
-
-// ParseEngine parses the -engine CLI flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "fast":
-		return EngineFast, nil
-	case "ref", "reference":
-		return EngineRef, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want fast or ref)", s)
-}
+// EngineFast is the pre-decoded engine, the only one.
+//
+// Deprecated: ignored (see Engine).
+const EngineFast Engine = 0
 
 // cop is the pre-decoded opcode. The fast engine's hot loop is a switch
 // over this enum; no interface dispatch, no per-operand type switch.
@@ -51,8 +32,10 @@ const (
 	// (including Swap/Widen layout charges). A segment ends after every
 	// instruction whose execution can observe the clock or fail (memory
 	// access, call, alloca, integer divide), so the clock any such
-	// instruction sees is bit-identical to the reference engine's
-	// charge-per-instruction interleaving.
+	// instruction sees is bit-identical to charging per instruction.
+	// Every basic block opens with a cCharge whose a is the block's index
+	// in fn.Blocks (a = -1 on the segments inside a block); that is where
+	// the profiling Listener's EnterBlock hook fires.
 	cCharge
 	// cTrap returns the precomputed error traps[aux].
 	cTrap
@@ -137,18 +120,16 @@ type cinstr struct {
 // a Machine recycles this function's register frames through — frames are
 // per-machine state, so shared compiled code carries only the index.
 type cfunc struct {
-	fn       *ir.Func
-	idx      int32
-	compiled bool
-	code     []cinstr
-	traps    []error
+	fn    *ir.Func
+	idx   int32
+	code  []cinstr
+	traps []error
 }
 
 // compiler is the compile-time environment: everything pre-decoding a
-// function body needs, independent of any executing Machine. A private
-// Machine owns an unsealed compiler and may keep compiling lazily; a shared
-// Program seals its compiler after eagerly compiling the whole module, at
-// which point the cfuncs map is immutable and safe for concurrent readers.
+// function body needs, independent of any executing Machine. Compile runs
+// it over the whole module once; afterwards the cfuncs map is immutable and
+// safe for concurrent instances.
 type compiler struct {
 	name   string
 	spec   *arch.Spec
@@ -156,7 +137,6 @@ type compiler struct {
 	lay    *linkage
 	cfuncs map[*ir.Func]*cfunc
 	nfuncs int32 // frame-pool indices handed out
-	sealed bool
 }
 
 func newCompiler(name string, spec, std *arch.Spec, lay *linkage, hint int) *compiler {
@@ -174,9 +154,6 @@ func newCompiler(name string, spec, std *arch.Spec, lay *linkage, hint int) *com
 func (c *compiler) shell(f *ir.Func) *cfunc {
 	cf := c.cfuncs[f]
 	if cf == nil {
-		if c.sealed {
-			panic(fmt.Sprintf("interp(%s): compile of %s after the program was sealed (shared programs compile the whole module eagerly)", c.name, f.Nam))
-		}
 		cf = &cfunc{fn: f, idx: c.nfuncs}
 		c.nfuncs++
 		c.cfuncs[f] = cf
@@ -184,19 +161,8 @@ func (c *compiler) shell(f *ir.Func) *cfunc {
 	return cf
 }
 
-// ensureCompiled returns f's compiled form, compiling on first use (bind
-// time for module functions; lazily for functions reached only through a
-// translating function-pointer resolver).
-func (c *compiler) ensureCompiled(f *ir.Func) *cfunc {
-	cf := c.shell(f)
-	if !cf.compiled {
-		c.compileInto(cf)
-	}
-	return cf
-}
-
 // cval resolves an operand to (register slot, inlined constant); slot < 0
-// means the constant. Mirrors the reference engine's operand().
+// means the constant.
 func (c *compiler) cval(v ir.Value) (int32, uint64) {
 	switch v := v.(type) {
 	case *ir.ConstInt:
@@ -237,9 +203,6 @@ func cdst(in ir.Instr) int32 { return int32(in.(interface{ Slot() int }).Slot())
 // the segment's instructions, followed by their pre-decoded forms. Branch
 // targets are pc indices patched after all blocks are placed.
 func (c *compiler) compileInto(cf *cfunc) {
-	if c.sealed {
-		panic(fmt.Sprintf("interp(%s): compile of %s after the program was sealed", c.name, cf.fn.Nam))
-	}
 	f := cf.fn
 	cost := c.spec.Cost
 	start := make(map[*ir.Block]int32, len(f.Blocks))
@@ -253,10 +216,11 @@ func (c *compiler) compileInto(cf *cfunc) {
 	var seg []cinstr
 	var segCycles int64
 	var segSteps int32
+	opens := int32(-1) // index of the block the next segment opens, or -1
 	flush := func() {
-		if segSteps > 0 {
-			cf.code = append(cf.code, cinstr{op: cCharge, aux: segSteps, imm: uint64(segCycles)})
-			segCycles, segSteps = 0, 0
+		if segSteps > 0 || opens >= 0 {
+			cf.code = append(cf.code, cinstr{op: cCharge, aux: segSteps, imm: uint64(segCycles), a: opens})
+			segCycles, segSteps, opens = 0, 0, -1
 		}
 		cf.code = append(cf.code, seg...)
 		seg = seg[:0]
@@ -270,8 +234,9 @@ func (c *compiler) compileInto(cf *cfunc) {
 		flush()
 	}
 
-	for _, blk := range f.Blocks {
+	for bi, blk := range f.Blocks {
 		start[blk] = int32(len(cf.code))
+		opens = int32(bi)
 		terminated := false
 	instrs:
 		for _, in := range blk.Instrs {
@@ -405,7 +370,7 @@ func (c *compiler) compileInto(cf *cfunc) {
 				seg = append(seg, ci)
 				if in.Op == ir.Div || in.Op == ir.Rem {
 					// Division can fail; end the segment so its trap sees
-					// the same clock as the reference engine.
+					// the clock of every instruction before it.
 					flush()
 				}
 
@@ -550,5 +515,4 @@ func (c *compiler) compileInto(cf *cfunc) {
 			cf.code[fx.pc].c = start[fx.dst]
 		}
 	}
-	cf.compiled = true
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/simtime"
 )
 
@@ -22,36 +21,21 @@ type engineRun struct {
 	digest uint64
 }
 
-// runEngines executes mod under both engines on the given spec/std pair
-// and returns the two observations. The module is cloned per run so each
-// machine lowers and links a private copy.
+// runEngines executes mod on the pre-decoded engine and on the oracle for
+// the given spec/std pair and returns the two observations. Each run lowers
+// and compiles a private clone of the module.
 func runEngines(t *testing.T, mod *ir.Module, spec, std *arch.Spec, costScale int64) (fast, ref engineRun) {
 	t.Helper()
-	one := func(eng Engine) engineRun {
-		work := mod.Clone(mod.Name + "-" + eng.String())
+	one := func(eng engine) engineRun {
+		work := mod.Clone(mod.Name + "-" + eng.name)
 		ir.Lower(work, spec, std)
-		io := NewStdIO(nil)
-		m, err := NewMachine(Config{
-			Name: "diff", Spec: spec, Std: std, Mod: work,
-			IO: io, CostScale: costScale, InitUVAGlobals: true, Engine: eng,
-		})
+		prog, err := Compile(work, CompileConfig{Name: "diff", Spec: spec, Std: std, InitUVAGlobals: true}, nil)
 		if err != nil {
-			t.Fatalf("NewMachine(%v): %v", eng, err)
+			t.Fatalf("Compile(%s): %v", eng.name, err)
 		}
-		r := engineRun{}
-		code, err := m.RunMain()
-		r.code = code
-		if err != nil {
-			r.errStr = err.Error()
-		}
-		r.out = io.Out.String()
-		r.steps = m.Steps
-		r.clock = m.Clock
-		r.comp = m.Comp
-		r.digest = m.Mem.Digest(mem.StackRanges()...)
-		return r
+		return runInstance(prog, eng, costScale)
 	}
-	return one(EngineFast), one(EngineRef)
+	return one(engineFast), one(engineOracle)
 }
 
 func compareRuns(t *testing.T, label string, fast, ref engineRun) {

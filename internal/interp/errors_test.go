@@ -20,7 +20,7 @@ func buildAndRun(t *testing.T, build func(b *ir.Builder)) error {
 	}
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, err := NewMachine(Config{Name: "err", Spec: arch.ARM32(), Mod: mod})
+	m, err := newInstance(mod, CompileConfig{Name: "err", Spec: arch.ARM32()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunMainRequiresMain(t *testing.T) {
 	b.Ret(ir.Int(1))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "n", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "n", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err == nil {
 		t.Error("RunMain without main should fail")
 	}
@@ -96,7 +96,7 @@ func TestCallFuncArityChecked(t *testing.T) {
 	b.Ret(b.Add(f.Params[0], f.Params[1]))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "a", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "a", Spec: arch.ARM32()})
 	if _, err := m.CallFunc(f, 1); err == nil {
 		t.Error("wrong arity accepted")
 	}
@@ -110,9 +110,8 @@ func TestUnloweredModuleRejected(t *testing.T) {
 	b.Ret(b.Load(g))
 	b.Finish()
 	// Deliberately skip ir.Lower.
-	m, _ := NewMachine(Config{Name: "raw", Spec: arch.ARM32(), Mod: mod})
-	if _, err := m.RunMain(); err == nil || !strings.Contains(err.Error(), "unlowered") {
-		t.Errorf("unlowered access should be diagnosed, got %v", err)
+	if _, err := newInstance(mod, CompileConfig{Name: "raw", Spec: arch.ARM32()}); err == nil || !strings.Contains(err.Error(), "unlowered") {
+		t.Errorf("unlowered module should be diagnosed, got %v", err)
 	}
 }
 
@@ -124,7 +123,7 @@ func TestGateWithoutRuntimeNeverOffloads(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvZExt, g, ir.I32))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "g", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "g", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +142,7 @@ func TestOffloadIntrinsicsRequireRuntime(t *testing.T) {
 		b.Ret(ir.Int(0))
 		b.Finish()
 		ir.Lower(mod, arch.ARM32(), arch.ARM32())
-		m, _ := NewMachine(Config{Name: "x", Spec: arch.ARM32(), Mod: mod})
+		m, _ := newInstance(mod, CompileConfig{Name: "x", Spec: arch.ARM32()})
 		if _, err := m.RunMain(); err == nil {
 			t.Errorf("%v without a runtime should fail", kind)
 		}

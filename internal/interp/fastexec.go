@@ -36,47 +36,58 @@ func (m *Machine) callFast(f *ir.Func, args []uint64) (uint64, error) {
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d", m.Name, f.Nam, len(args), len(f.Params))
 	}
-	cf := m.cc.ensureCompiled(f)
+	cf, err := m.compiled(f)
+	if err != nil {
+		return 0, err
+	}
 	regs := m.acquireFrame(cf)
 	for i, p := range f.Params {
 		regs[p.Slot] = args[i]
 	}
-	if ps := m.sampler; ps != nil {
-		ps.push(f.Nam, m.Clock)
+	return m.runCompiled(cf, regs)
+}
+
+// compiled returns f's pre-decoded form. Compile covers every function of
+// the module, so a miss means f belongs to some other module.
+func (m *Machine) compiled(f *ir.Func) (*cfunc, error) {
+	if cf := m.cc.cfuncs[f]; cf != nil {
+		return cf, nil
 	}
-	v, err := m.runCompiled(cf, regs)
-	if ps := m.sampler; ps != nil {
-		ps.pop(m.Clock)
-	}
-	m.releaseFrame(cf, regs)
-	return v, err
+	return nil, fmt.Errorf("interp(%s): %s is not a function of module %s", m.Name, f.Nam, m.Mod.Name)
 }
 
 // callCompiled invokes a compiled callee from inside the fast loop,
 // evaluating pre-decoded arguments directly into the callee's frame.
 func (m *Machine) callCompiled(cf *cfunc, args []carg, caller []uint64) (uint64, error) {
-	if !cf.compiled {
-		m.cc.compileInto(cf)
-	}
 	regs := m.acquireFrame(cf)
 	for i := range args {
 		regs[cf.fn.Params[i].Slot] = rv(caller, args[i].slot, args[i].imm)
 	}
+	return m.runCompiled(cf, regs)
+}
+
+// runCompiled runs one activation of cf in regs: the Listener and sampler
+// hooks around the body, the stack pointer restored and the frame recycled
+// after it.
+func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
+	l := m.Listener
+	if l != nil {
+		l.EnterFunc(m, cf.fn)
+	}
 	if ps := m.sampler; ps != nil {
 		ps.push(cf.fn.Nam, m.Clock)
 	}
-	v, err := m.runCompiled(cf, regs)
+	spSave := m.sp
+	v, err := m.execCompiled(cf, regs)
+	m.sp = spSave
 	if ps := m.sampler; ps != nil {
 		ps.pop(m.Clock)
 	}
+	if l != nil {
+		l.ExitFunc(m, cf.fn)
+	}
 	m.releaseFrame(cf, regs)
 	return v, err
-}
-
-func (m *Machine) runCompiled(cf *cfunc, regs []uint64) (uint64, error) {
-	spSave := m.sp
-	defer func() { m.sp = spSave }()
-	return m.execCompiled(cf, regs)
 }
 
 // rv reads operand (slot, imm): a register when slot >= 0, else the
@@ -184,6 +195,11 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 		pc++
 		switch in.op {
 		case cCharge:
+			if in.a >= 0 {
+				if l := m.Listener; l != nil {
+					l.EnterBlock(m, cf.fn, cf.fn.Blocks[in.a])
+				}
+			}
 			m.Steps += int64(in.aux)
 			d := simtime.PS(int64(in.imm)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
 			m.Clock += d
@@ -363,7 +379,11 @@ func (m *Machine) execCompiled(cf *cfunc, regs []uint64) (uint64, error) {
 					return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d",
 						m.Name, callee.Nam, len(in.args), len(callee.Params))
 				}
-				v, err = m.callCompiled(m.cc.ensureCompiled(callee), in.args, regs)
+				target, cerr := m.compiled(callee)
+				if cerr != nil {
+					return 0, cerr
+				}
+				v, err = m.callCompiled(target, in.args, regs)
 			}
 			if err != nil {
 				return 0, err

@@ -28,11 +28,20 @@ func buildSum(mod *ir.Module) {
 func newMachine(t *testing.T, mod *ir.Module, spec, std *arch.Spec) *Machine {
 	t.Helper()
 	ir.Lower(mod, spec, std)
-	m, err := NewMachine(Config{Name: "test", Spec: spec, Std: std, Mod: mod})
+	m, err := newInstance(mod, CompileConfig{Name: "test", Spec: spec, Std: std})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// newInstance compiles the lowered mod under cfg and binds one instance.
+func newInstance(mod *ir.Module, cfg CompileConfig, opts ...InstanceOption) (*Machine, error) {
+	prog, err := Compile(mod, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewInstance(opts...), nil
 }
 
 func TestRunSum(t *testing.T) {
@@ -74,9 +83,9 @@ func TestCostScaleAmplifies(t *testing.T) {
 	mod := ir.NewModule("s")
 	buildSum(mod)
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m1, _ := NewMachine(Config{Name: "x1", Spec: arch.ARM32(), Mod: mod})
+	m1, _ := newInstance(mod, CompileConfig{Name: "x1", Spec: arch.ARM32()})
 	m1.RunMain()
-	m2, _ := NewMachine(Config{Name: "x10", Spec: arch.ARM32(), Mod: mod, CostScale: 10})
+	m2, _ := newInstance(mod, CompileConfig{Name: "x10", Spec: arch.ARM32()}, WithCostScale(10))
 	m2.RunMain()
 	if m2.Clock != 10*m1.Clock {
 		t.Errorf("CostScale=10 clock %v, want exactly 10x %v", m2.Clock, m1.Clock)
@@ -111,7 +120,7 @@ func TestFigure4CrossLayoutBugAndFix(t *testing.T) {
 	mobMod := ir.NewModule("mobile")
 	move := buildMoveProgram(mobMod)
 	ir.Lower(mobMod, arch.ARM32(), arch.ARM32())
-	mobile, err := NewMachine(Config{Name: "mobile", Spec: arch.ARM32(), Mod: mobMod})
+	mobile, err := newInstance(mobMod, CompileConfig{Name: "mobile", Spec: arch.ARM32()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +140,15 @@ func TestFigure4CrossLayoutBugAndFix(t *testing.T) {
 		b.Finish()
 		ir.Lower(srvMod, arch.IA32(), std)
 
-		shared := mem.New()
-		shared.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
-		srv, err := NewMachine(Config{Name: "server", Spec: arch.IA32(), Std: std, Mod: srvMod, Mem: shared, FuncBase: mem.FuncBaseServer})
+		srv, err := newInstance(srvMod, CompileConfig{Name: "server", Spec: arch.IA32(), Std: std, FuncBase: mem.FuncBaseServer})
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv.Mem.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
 		if _, err := srv.CallFunc(srvMod.Func("main"), uint64(uint32(addr))); err != nil {
 			t.Fatal(err)
 		}
-		bits, _ := shared.ReadUint(srv.GlobalAddr(srvMod.Global("out")), 8)
+		bits, _ := srv.Mem.ReadUint(srv.GlobalAddr(srvMod.Global("out")), 8)
 		return math.Float64frombits(bits)
 	}
 
@@ -164,7 +172,7 @@ func TestEndiannessTranslation(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvTrunc, b.Convert(ir.ConvBitcast, ip, ir.I64), ir.I32))
 	b.Finish()
 	ir.Lower(mobMod, arch.ARM32(), arch.ARM32())
-	mobile, _ := NewMachine(Config{Name: "m", Spec: arch.ARM32(), Mod: mobMod})
+	mobile, _ := newInstance(mobMod, CompileConfig{Name: "m", Spec: arch.ARM32()})
 	addr, err := mobile.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +185,8 @@ func TestEndiannessTranslation(t *testing.T) {
 		sb.Ret(sb.Load(sb.F.Params[0]))
 		sb.Finish()
 		ir.Lower(srvMod, arch.POWER32BE(), std)
-		shared := mem.New()
-		shared.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
-		srv, _ := NewMachine(Config{Name: "s", Spec: arch.POWER32BE(), Std: std, Mod: srvMod, Mem: shared})
+		srv, _ := newInstance(srvMod, CompileConfig{Name: "s", Spec: arch.POWER32BE(), Std: std})
+		srv.Mem.Fault = func(pn uint32) ([]byte, error) { return mobile.Mem.PageData(pn), nil }
 		v, err := srv.CallFunc(srvMod.Func("main"), uint64(uint32(addr)))
 		if err != nil {
 			t.Fatal(err)
@@ -205,10 +212,10 @@ func TestMachineLocalGlobalAddressesDiverge(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 
-	m1, _ := NewMachine(Config{Name: "mob", Spec: arch.ARM32(), Mod: mod})
+	m1, _ := newInstance(mod, CompileConfig{Name: "mob", Spec: arch.ARM32()})
 	mod2 := mod.Clone("srv")
 	ir.Lower(mod2, arch.X8664(), arch.ARM32())
-	m2, _ := NewMachine(Config{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), Mod: mod2, ShuffleGlobals: true, FuncBase: mem.FuncBaseServer})
+	m2, _ := newInstance(mod2, CompileConfig{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), ShuffleGlobals: true, FuncBase: mem.FuncBaseServer})
 
 	a1 := m1.GlobalAddr(mod.Global("alpha"))
 	a2 := m2.GlobalAddr(mod2.Global("alpha"))
@@ -228,7 +235,7 @@ func TestFunctionAddressesDivergeAndResolve(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 
-	m1, _ := NewMachine(Config{Name: "mob", Spec: arch.ARM32(), Mod: mod})
+	m1, _ := newInstance(mod, CompileConfig{Name: "mob", Spec: arch.ARM32()})
 	code, err := m1.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +246,7 @@ func TestFunctionAddressesDivergeAndResolve(t *testing.T) {
 
 	mod2 := mod.Clone("srv")
 	ir.Lower(mod2, arch.X8664(), arch.ARM32())
-	m2, _ := NewMachine(Config{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), Mod: mod2, FuncBase: mem.FuncBaseServer, ShuffleFuncs: true})
+	m2, _ := newInstance(mod2, CompileConfig{Name: "srv", Spec: arch.X8664(), Std: arch.ARM32(), FuncBase: mem.FuncBaseServer, ShuffleFuncs: true})
 	if m1.FuncAddr(mod.Func("helper")) == m2.FuncAddr(mod2.Func("helper")) {
 		t.Error("function addresses should differ across machines")
 	}
@@ -259,7 +266,7 @@ func TestPrintfFormatting(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
-	m, _ := NewMachine(Config{Name: "p", Spec: arch.ARM32(), Mod: mod, IO: io})
+	m, _ := newInstance(mod, CompileConfig{Name: "p", Spec: arch.ARM32()}, WithIO(io))
 	if _, err := m.RunMain(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +287,7 @@ func TestScanfReadsInput(t *testing.T) {
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO([]int64{30, 12})
-	m, _ := NewMachine(Config{Name: "s", Spec: arch.ARM32(), Mod: mod, IO: io})
+	m, _ := newInstance(mod, CompileConfig{Name: "s", Spec: arch.ARM32()}, WithIO(io))
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +311,7 @@ func TestFileIO(t *testing.T) {
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
 	io.AddFile("data.bin", []byte{9, 2, 3, 4})
-	m, _ := NewMachine(Config{Name: "f", Spec: arch.ARM32(), Mod: mod, IO: io})
+	m, _ := newInstance(mod, CompileConfig{Name: "f", Spec: arch.ARM32()}, WithIO(io))
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +329,7 @@ func TestExitError(t *testing.T) {
 	b.Ret(ir.Int(0))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "e", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "e", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +351,7 @@ func TestMemcpyMemset(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvZExt, b.Load(last), ir.I32))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "m", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "m", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +378,7 @@ func TestGlobalFuncPtrTableInit(t *testing.T) {
 	b.Ret(b.CallPtr(fp, sig, ir.Int(40)))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "t", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "t", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +399,7 @@ func TestStackOverflowDetected(t *testing.T) {
 	b.Ret(b.Call(f, ir.Int(0)))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "o", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "o", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err == nil || !strings.Contains(err.Error(), "stack overflow") {
 		t.Errorf("expected stack overflow, got %v", err)
 	}
@@ -411,7 +418,7 @@ func TestComponentAccounting(t *testing.T) {
 	b.Ret(ir.Int(0))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "c", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "c", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +440,7 @@ func TestDivisionByZero(t *testing.T) {
 	b.Ret(b.Div(ir.Int(1), ir.Int(0)))
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "d", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "d", Spec: arch.ARM32()})
 	if _, err := m.RunMain(); err == nil {
 		t.Error("expected division-by-zero error")
 	}
@@ -451,7 +458,7 @@ func TestConversions(t *testing.T) {
 	b.Ret(b.Convert(ir.ConvFPToInt, b.Mul(fl, ir.Float(-10)), ir.I32)) // 40
 	b.Finish()
 	ir.Lower(mod, arch.ARM32(), arch.ARM32())
-	m, _ := NewMachine(Config{Name: "cv", Spec: arch.ARM32(), Mod: mod})
+	m, _ := newInstance(mod, CompileConfig{Name: "cv", Spec: arch.ARM32()})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)

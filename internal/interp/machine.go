@@ -7,8 +7,6 @@
 package interp
 
 import (
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/ir"
 	"repro/internal/mem"
@@ -32,7 +30,11 @@ func (c Component) String() string {
 }
 
 // Listener observes execution for profiling (Section 3.1). All methods are
-// invoked synchronously on the interpreter's thread.
+// invoked synchronously on the interpreter's thread: EnterFunc/ExitFunc
+// around every activation of a module function, EnterBlock on entry to
+// every basic block. Compiled segments end before every call, branch and
+// return, so each hook sees the same Clock and Steps as charging per
+// instruction would give it.
 type Listener interface {
 	EnterFunc(m *Machine, f *ir.Func)
 	ExitFunc(m *Machine, f *ir.Func)
@@ -87,26 +89,16 @@ type Machine struct {
 	ResolveFptr func(addr uint32, mapped bool) (*ir.Func, error)
 
 	// lay is the linker's address assignment (function and global
-	// addresses). Owned by this machine when built via NewMachine; shared
-	// read-only with the Program (and its sibling instances) when built via
-	// Program.NewInstance. The two machines of a session deliberately
-	// disagree on addresses either way.
+	// addresses), shared read-only with the Program and its sibling
+	// instances. The two machines of a session deliberately disagree on
+	// addresses.
 	lay *linkage
 
-	// Engine selects the execution engine. EngineFast (the default)
-	// interprets pre-decoded flat instruction streams; a Listener forces
-	// the reference tree-walker regardless (the profiler needs per-block
-	// clock observations).
-	Engine Engine
-
-	// cc holds the compiled functions (fast engine). A NewMachine-built
-	// machine owns an unsealed compiler and compiles lazily; an instance of
-	// a shared Program aliases the program's sealed compiler, whose cfunc
-	// map is immutable and safe for concurrent instances.
+	// cc holds the program's compiled functions; its cfunc map is
+	// immutable and safe for concurrent instances.
 	cc *compiler
 
-	// prog is the shared program this machine instantiates, nil for a
-	// private NewMachine-built machine.
+	// prog is the shared program this machine instantiates.
 	prog *Program
 
 	// pools recycles register frames, indexed by cfunc.idx. Frames are
@@ -118,143 +110,28 @@ type Machine struct {
 	wtlb [tlbWays]tlbEntry
 
 	// sampler, when set via SetSampler, is the guest sampling profiler.
-	// Unlike Listener it works on both engines; every clock-advance site
-	// checks it with a nil-guarded boundary compare.
+	// Every clock-advance site checks it with a nil-guarded boundary
+	// compare.
 	sampler *Sampler
 
 	sp      uint32
 	spFloor uint32
 }
 
-// Config bundles Machine construction options.
-type Config struct {
-	Name string
-	Spec *arch.Spec
-	Std  *arch.Spec // defaults to Spec (conventional lowering)
-	Mod  *ir.Module
-	Mem  *mem.Memory // defaults to a fresh memory
-	// FuncBase is where this machine's linker places function addresses.
-	FuncBase uint32
-	// ShuffleFuncs makes the linker assign addresses in name-sorted order
-	// instead of declaration order, so two machines disagree on every
-	// function address even with the same base.
-	ShuffleFuncs bool
-	// ShuffleGlobals does the same for machine-local global placement.
-	ShuffleGlobals bool
-	// InitUVAGlobals writes initial values of UVA-homed globals into
-	// memory. Only the mobile machine does this; the server receives those
-	// pages via copy-on-demand.
-	InitUVAGlobals bool
-	CostScale      int64
-	IO             IOHost
-	Sys            SysHost
-	// Engine selects the execution engine (default EngineFast).
-	Engine Engine
-}
-
-// NewMachine builds, links and loads a machine with a private memory and
-// private compiled code. The module must already be lowered (ir.Lower)
-// against cfg.Std.
-//
-// Deprecated: for the compile-once/instantiate-many path, use Compile to
-// build a shared *Program (optionally through a CompilationCache) and
-// Program.NewInstance to bind sessions to it — instances share the
-// pre-decoded code and the initial memory image copy-on-write, so binding
-// is O(1) and per-session resident bytes shrink to the pages actually
-// written. NewMachine remains for callers that need a private memory (a
-// caller-supplied cfg.Mem) or lazy compilation of not-yet-lowered modules.
-func NewMachine(cfg Config) (*Machine, error) {
-	if cfg.Std == nil {
-		cfg.Std = cfg.Spec
-	}
-	if cfg.Mem == nil {
-		cfg.Mem = mem.New()
-	}
-	if cfg.FuncBase == 0 {
-		cfg.FuncBase = mem.FuncBaseMobile
-	}
-	lay := newLinkage(cfg.Mod, cfg.Std, cfg.FuncBase, cfg.ShuffleFuncs, cfg.ShuffleGlobals)
-	cc := newCompiler(cfg.Name, cfg.Spec, cfg.Std, lay, len(cfg.Mod.Funcs))
-	m := newMachineShell(cfg.Name, cfg.Spec, cfg.Std, cfg.Mod, cfg.Mem, lay, cc)
-	m.CostScale = cfg.CostScale
-	if m.CostScale <= 0 {
-		m.CostScale = 1
-	}
-	if cfg.IO != nil {
-		m.IO = cfg.IO
-	}
-	m.Sys = cfg.Sys
-	m.Engine = cfg.Engine
-
-	if err := writeGlobalInits(m.Mem, cfg.Mod, cfg.Std, lay, cfg.InitUVAGlobals); err != nil {
-		return nil, err
-	}
-	if m.Engine == EngineFast && m.Mod.Lowered {
-		// Bind-time pre-decode: flatten every function body once, so the
-		// run pays no per-instruction decode cost. Modules lowered only
-		// after machine construction compile lazily on first call instead
-		// (pre-decoding bakes in layout-resolved sizes and strides).
-		for _, f := range m.Mod.Funcs {
-			if !f.IsExtern() {
-				cc.ensureCompiled(f)
-			}
-		}
-	}
-	m.pools = make([][][]uint64, cc.nfuncs)
-	return m, nil
-}
-
-// newMachineShell builds the per-session Machine skeleton around an address
-// layout and compiled code, shared by NewMachine (private) and
-// Program.NewInstance (shared).
-func newMachineShell(name string, spec, std *arch.Spec, mod *ir.Module, mm *mem.Memory, lay *linkage, cc *compiler) *Machine {
-	m := &Machine{
-		Name:      name,
-		Spec:      spec,
-		Std:       std,
-		Mod:       mod,
-		Mem:       mm,
-		CostScale: 1,
-		IO:        NewStdIO(nil),
-		lay:       lay,
-		cc:        cc,
-		sp:        mod.StackBase,
-		spFloor:   mod.StackBase - mem.StackBytes,
-	}
-	m.ResolveFptr = func(addr uint32, mapped bool) (*ir.Func, error) {
-		f, ok := m.lay.funcByAddr[addr]
-		if !ok {
-			return nil, fmt.Errorf("interp(%s): no function at address 0x%x (unmapped cross-machine pointer?)", m.Name, addr)
-		}
-		return f, nil
-	}
-	m.Heap = mem.UVAHeap(m.Mem)
-	m.LocalHeap = mem.NewAllocator(m.Mem, mem.LocalBase+0x0100_0000, mem.LocalBase+0x0200_0000)
-	return m
-}
-
 // acquireFrame returns a cleared register frame for cf, recycling through
 // this machine's per-function pool.
 func (m *Machine) acquireFrame(cf *cfunc) []uint64 {
-	if int(cf.idx) < len(m.pools) {
-		if s := m.pools[cf.idx]; len(s) > 0 {
-			regs := s[len(s)-1]
-			m.pools[cf.idx] = s[:len(s)-1]
-			clear(regs)
-			return regs
-		}
+	if s := m.pools[cf.idx]; len(s) > 0 {
+		regs := s[len(s)-1]
+		m.pools[cf.idx] = s[:len(s)-1]
+		clear(regs)
+		return regs
 	}
 	return make([]uint64, cf.fn.NumSlots)
 }
 
-// releaseFrame returns a frame to the pool, growing the pool table when a
-// lazily compiled function appears after construction.
+// releaseFrame returns a frame to its function's pool.
 func (m *Machine) releaseFrame(cf *cfunc, regs []uint64) {
-	if int(cf.idx) >= len(m.pools) {
-		grown := make([][][]uint64, cf.idx+1)
-		copy(grown, m.pools)
-		m.pools = grown
-	}
 	m.pools[cf.idx] = append(m.pools[cf.idx], regs)
 }
 
@@ -279,8 +156,7 @@ func (m *Machine) FuncAt(addr uint32) (*ir.Func, bool) {
 // GlobalAddr returns the loaded address of g on this machine.
 func (m *Machine) GlobalAddr(g *ir.Global) uint32 { return m.lay.globalAddr[g] }
 
-// Program returns the shared program this machine instantiates, nil for a
-// private NewMachine-built machine.
+// Program returns the shared program this machine instantiates.
 func (m *Machine) Program() *Program { return m.prog }
 
 func alignUp32(n, a uint32) uint32 { return (n + a - 1) / a * a }

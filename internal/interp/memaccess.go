@@ -10,27 +10,12 @@ import (
 	"repro/internal/mem"
 )
 
-// loadScalar reads one scalar at addr following the access layout resolved
-// by ir.Lower. Bytes in memory are always in the standard (mobile) order;
-// when the executing machine's byte order differs, the compiler inserted
-// translation code, which we account for via the Swap flag. Widen marks the
-// address-size conversion for pointer values stored at the unified (mobile)
-// width.
-func (m *Machine) loadScalar(addr uint32, elem ir.Type, lay ir.MemLayout) (uint64, error) {
-	if lay.Size == 0 {
-		return 0, fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
-	}
-	if lay.Swap {
-		m.charge(arch.OpEndianSwap, CompCompute)
-	}
-	if lay.Widen {
-		m.charge(arch.OpPtrConvert, CompCompute)
-	}
-	return m.loadScalarNoCharge(addr, elem, lay)
-}
-
-// loadScalarNoCharge is loadScalar without the layout charges; the fast
-// engine folds those into the segment aggregate at compile time.
+// loadScalarNoCharge reads one scalar at addr following the access layout
+// resolved by ir.Lower. Bytes in memory are always in the standard (mobile)
+// order; when the executing machine's byte order differs, the compiler
+// inserted translation code, whose cost (like the Widen address-size
+// conversion for pointers stored at the unified width) the pre-decoded
+// engine folds into the segment charge at compile time.
 func (m *Machine) loadScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayout) (uint64, error) {
 	if lay.Size == 0 {
 		return 0, fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
@@ -54,22 +39,8 @@ func (m *Machine) loadScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayout
 	return 0, fmt.Errorf("interp(%s): load of unsupported type %s", m.Name, elem)
 }
 
-// storeScalar writes one scalar at addr following the access layout.
-func (m *Machine) storeScalar(addr uint32, elem ir.Type, lay ir.MemLayout, bits uint64) error {
-	if lay.Size == 0 {
-		return fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
-	}
-	if lay.Swap {
-		m.charge(arch.OpEndianSwap, CompCompute)
-	}
-	if lay.Widen {
-		m.charge(arch.OpPtrConvert, CompCompute)
-	}
-	return m.storeScalarNoCharge(addr, elem, lay, bits)
-}
-
-// storeScalarNoCharge is storeScalar without the layout charges (see
-// loadScalarNoCharge).
+// storeScalarNoCharge writes one scalar at addr following the access
+// layout (see loadScalarNoCharge).
 func (m *Machine) storeScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayout, bits uint64) error {
 	if lay.Size == 0 {
 		return fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
@@ -85,7 +56,7 @@ func (m *Machine) storeScalarNoCharge(addr uint32, elem ir.Type, lay ir.MemLayou
 // (scanf destinations).
 func (m *Machine) writeScalar(addr uint32, elem ir.Type, bits uint64) error {
 	lay := ir.MemLayout{Size: m.Std.Size(ir.ClassOf(elem)), Class: ir.ClassOf(elem)}
-	return m.storeScalar(addr, elem, lay, bits)
+	return m.storeScalarNoCharge(addr, elem, lay, bits)
 }
 
 func assemble(b []byte, order arch.Endianness) uint64 {

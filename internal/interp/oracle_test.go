@@ -1,0 +1,400 @@
+package interp
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/arch"
+	"repro/internal/ir"
+	"repro/internal/simtime"
+)
+
+// This file is the interpreter's differential oracle: the original
+// tree-walking engine, which charges and counts every IR instruction as it
+// executes it. Production runs only the pre-decoded engine; the tests hold
+// it to this walker's output, Steps, Clock, component buckets, memory and
+// profile, bit for bit.
+
+// engine runs one function on a machine: the production pre-decoded engine
+// or the tree-walking oracle.
+type engine struct {
+	name string
+	call func(m *Machine, f *ir.Func, args []uint64) (uint64, error)
+}
+
+var (
+	engineFast   = engine{"fast", (*Machine).callFast}
+	engineOracle = engine{"ref", (*Machine).callRef}
+)
+
+// runMain is RunMain on e.
+func (e engine) runMain(m *Machine) (int32, error) {
+	return m.runMain(func(f *ir.Func, args []uint64) (uint64, error) { return e.call(m, f, args) })
+}
+
+// frame is one function activation. Register values are 64-bit containers:
+// integers are sign-extended two's complement, floats are IEEE-754 bits
+// (f32 values promoted to f64 in registers, as C promotes), and pointers
+// are zero-extended UVA addresses.
+type frame struct {
+	fn   *ir.Func
+	regs []uint64
+}
+
+// callRef is the tree-walking oracle: it executes the ir.Func structure
+// directly, charging and counting per instruction, and recurses into
+// itself for calls. The pre-decoded engine is differentially tested
+// against it.
+func (m *Machine) callRef(f *ir.Func, args []uint64) (uint64, error) {
+	if f.IsExtern() {
+		return m.callExtern(f, args)
+	}
+	if len(args) != len(f.Params) {
+		return 0, fmt.Errorf("interp(%s): call %s with %d args, want %d", m.Name, f.Nam, len(args), len(f.Params))
+	}
+	fr := &frame{fn: f, regs: make([]uint64, f.NumSlots)}
+	for i, p := range f.Params {
+		fr.regs[p.Slot] = args[i]
+	}
+	spSave := m.sp
+	defer func() { m.sp = spSave }()
+
+	if m.Listener != nil {
+		m.Listener.EnterFunc(m, f)
+		defer m.Listener.ExitFunc(m, f)
+	}
+	if ps := m.sampler; ps != nil {
+		ps.push(f.Nam, m.Clock)
+		defer func() { ps.pop(m.Clock) }()
+	}
+
+	blk := f.Entry()
+	for {
+		if m.Listener != nil {
+			m.Listener.EnterBlock(m, f, blk)
+		}
+		next, ret, done, err := m.execBlock(fr, blk)
+		if err != nil {
+			return 0, err
+		}
+		if done {
+			return ret, nil
+		}
+		blk = next
+	}
+}
+
+// execBlock runs one basic block; it returns the successor, or the return
+// value with done=true.
+func (m *Machine) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint64, done bool, err error) {
+	for _, in := range blk.Instrs {
+		m.Steps++
+		switch in := in.(type) {
+		case *ir.Alloca:
+			m.charge(arch.OpAlloca, CompCompute)
+			size := alignUp32(uint32(in.SizeBytes), 16)
+			if m.sp < m.spFloor+size {
+				return nil, 0, false, fmt.Errorf("interp(%s): stack overflow in %s", m.Name, fr.fn.Nam)
+			}
+			m.sp -= size
+			fr.set(in, uint64(m.sp))
+
+		case *ir.Load:
+			m.charge(arch.OpLoad, CompCompute)
+			addr := uint32(m.operand(fr, in.Ptr))
+			bits, lerr := m.loadScalar(addr, in.Elem, in.Lay)
+			if lerr != nil {
+				return nil, 0, false, lerr
+			}
+			fr.set(in, bits)
+
+		case *ir.Store:
+			m.charge(arch.OpStore, CompCompute)
+			addr := uint32(m.operand(fr, in.Ptr))
+			if serr := m.storeScalar(addr, in.Val.Type(), in.Lay, m.operand(fr, in.Val)); serr != nil {
+				return nil, 0, false, serr
+			}
+
+		case *ir.Bin:
+			v, berr := m.evalBin(fr, in)
+			if berr != nil {
+				return nil, 0, false, berr
+			}
+			fr.set(in, v)
+
+		case *ir.Cmp:
+			fr.set(in, m.evalCmp(fr, in))
+
+		case *ir.FieldAddr:
+			m.charge(arch.OpIntALU, CompCompute)
+			fr.set(in, m.operand(fr, in.Ptr)+uint64(in.Offset))
+
+		case *ir.IndexAddr:
+			m.charge(arch.OpIntALU, CompCompute)
+			base := m.operand(fr, in.Ptr)
+			idx := int64(m.operand(fr, in.Index))
+			fr.set(in, uint64(int64(base)+idx*int64(in.Stride)))
+
+		case *ir.Convert:
+			m.charge(arch.OpConvert, CompCompute)
+			fr.set(in, convert(in.Kind, in.Val.Type(), in.To, m.operand(fr, in.Val)))
+
+		case *ir.FuncAddr:
+			m.charge(arch.OpIntALU, CompCompute)
+			fr.set(in, uint64(m.lay.funcAddr[in.Callee]))
+
+		case *ir.Call:
+			m.charge(arch.OpCall, CompCompute)
+			args := make([]uint64, len(in.Args))
+			for i, a := range in.Args {
+				args[i] = m.operand(fr, a)
+			}
+			v, cerr := m.callRef(in.Callee, args)
+			if cerr != nil {
+				return nil, 0, false, cerr
+			}
+			fr.set(in, v)
+
+		case *ir.CallInd:
+			m.charge(arch.OpCallInd, CompCompute)
+			if in.Mapped {
+				// Function pointer translation (Section 3.4); its cost is
+				// the Fig. 7 "fptr" component.
+				d := simtime.PS(m.Spec.Cost.Cycles(arch.OpFptrMap)*m.CostScale) * simtime.PS(m.Spec.CyclePS)
+				m.Clock += d
+				m.Comp[CompFptr] += d
+				if s := m.sampler; s != nil && m.Clock >= s.next {
+					s.take(m.Clock)
+				}
+			}
+			addr := uint32(m.operand(fr, in.Fn))
+			callee, rerr := m.ResolveFptr(addr, in.Mapped)
+			if rerr != nil {
+				return nil, 0, false, rerr
+			}
+			args := make([]uint64, len(in.Args))
+			for i, a := range in.Args {
+				args[i] = m.operand(fr, a)
+			}
+			v, cerr := m.callRef(callee, args)
+			if cerr != nil {
+				return nil, 0, false, cerr
+			}
+			fr.set(in, v)
+
+		case *ir.Br:
+			m.charge(arch.OpBranch, CompCompute)
+			return in.Dst, 0, false, nil
+
+		case *ir.CondBr:
+			m.charge(arch.OpBranch, CompCompute)
+			if m.operand(fr, in.Cond) != 0 {
+				return in.Then, 0, false, nil
+			}
+			return in.Else, 0, false, nil
+
+		case *ir.Ret:
+			if in.Val != nil {
+				return nil, m.operand(fr, in.Val), true, nil
+			}
+			return nil, 0, true, nil
+
+		default:
+			return nil, 0, false, fmt.Errorf("interp(%s): unhandled instruction %T", m.Name, in)
+		}
+	}
+	return nil, 0, false, fmt.Errorf("interp(%s): block %s.%s fell through without terminator", m.Name, fr.fn.Nam, blk.Nam)
+}
+
+func (fr *frame) set(in ir.Instr, v uint64) {
+	if slot := in.(interface{ Slot() int }).Slot(); slot >= 0 {
+		fr.regs[slot] = v
+	}
+}
+
+// operand evaluates a value in the context of fr.
+func (m *Machine) operand(fr *frame, v ir.Value) uint64 {
+	switch v := v.(type) {
+	case *ir.ConstInt:
+		return uint64(v.V)
+	case *ir.ConstFloat:
+		return floatBits(v.Typ, v.V)
+	case *ir.ConstNull:
+		return 0
+	case *ir.ConstUVA:
+		return uint64(v.Addr)
+	case *ir.Param:
+		return fr.regs[v.Slot]
+	case *ir.Global:
+		return uint64(m.lay.globalAddr[v])
+	case *ir.Func:
+		return uint64(m.lay.funcAddr[v])
+	case ir.Instr:
+		return fr.regs[v.(interface{ Slot() int }).Slot()]
+	}
+	panic(fmt.Sprintf("interp: unhandled operand %T", v))
+}
+
+func (m *Machine) evalBin(fr *frame, in *ir.Bin) (uint64, error) {
+	x := m.operand(fr, in.X)
+	y := m.operand(fr, in.Y)
+	if ir.IsFloat(in.X.Type()) {
+		fx, fy := math.Float64frombits(x), math.Float64frombits(y)
+		var r float64
+		switch in.Op {
+		case ir.Add:
+			m.charge(arch.OpFloatALU, CompCompute)
+			r = fx + fy
+		case ir.Sub:
+			m.charge(arch.OpFloatALU, CompCompute)
+			r = fx - fy
+		case ir.Mul:
+			m.charge(arch.OpFloatMul, CompCompute)
+			r = fx * fy
+		case ir.Div:
+			m.charge(arch.OpFloatDiv, CompCompute)
+			r = fx / fy
+		default:
+			return 0, fmt.Errorf("interp: float op %s unsupported", in.Op)
+		}
+		return math.Float64bits(r), nil
+	}
+	ix, iy := int64(x), int64(y)
+	switch in.Op {
+	case ir.Add:
+		m.charge(arch.OpIntALU, CompCompute)
+		return uint64(ix + iy), nil
+	case ir.Sub:
+		m.charge(arch.OpIntALU, CompCompute)
+		return uint64(ix - iy), nil
+	case ir.Mul:
+		m.charge(arch.OpIntMul, CompCompute)
+		return uint64(ix * iy), nil
+	case ir.Div:
+		m.charge(arch.OpIntDiv, CompCompute)
+		if iy == 0 {
+			return 0, fmt.Errorf("interp(%s): integer division by zero in %s", m.Name, fr.fn.Nam)
+		}
+		return uint64(ix / iy), nil
+	case ir.Rem:
+		m.charge(arch.OpIntDiv, CompCompute)
+		if iy == 0 {
+			return 0, fmt.Errorf("interp(%s): integer remainder by zero in %s", m.Name, fr.fn.Nam)
+		}
+		return uint64(ix % iy), nil
+	case ir.And:
+		m.charge(arch.OpIntALU, CompCompute)
+		return x & y, nil
+	case ir.Or:
+		m.charge(arch.OpIntALU, CompCompute)
+		return x | y, nil
+	case ir.Xor:
+		m.charge(arch.OpIntALU, CompCompute)
+		return x ^ y, nil
+	case ir.Shl:
+		m.charge(arch.OpIntALU, CompCompute)
+		return x << (y & 63), nil
+	case ir.Shr:
+		m.charge(arch.OpIntALU, CompCompute)
+		return uint64(ix >> (y & 63)), nil
+	}
+	return 0, fmt.Errorf("interp: unknown bin op %v", in.Op)
+}
+
+func (m *Machine) evalCmp(fr *frame, in *ir.Cmp) uint64 {
+	x := m.operand(fr, in.X)
+	y := m.operand(fr, in.Y)
+	var lt, eq bool
+	if ir.IsFloat(in.X.Type()) {
+		m.charge(arch.OpFloatALU, CompCompute)
+		fx, fy := math.Float64frombits(x), math.Float64frombits(y)
+		lt, eq = fx < fy, fx == fy
+	} else if ir.IsPointer(in.X.Type()) {
+		m.charge(arch.OpIntALU, CompCompute)
+		lt, eq = x < y, x == y
+	} else {
+		m.charge(arch.OpIntALU, CompCompute)
+		lt, eq = int64(x) < int64(y), x == y
+	}
+	var r bool
+	switch in.Pred {
+	case ir.EQ:
+		r = eq
+	case ir.NE:
+		r = !eq
+	case ir.LT:
+		r = lt
+	case ir.LE:
+		r = lt || eq
+	case ir.GT:
+		r = !lt && !eq
+	case ir.GE:
+		r = !lt
+	}
+	if r {
+		return 1
+	}
+	return 0
+}
+
+func convert(kind ir.ConvKind, from, to ir.Type, v uint64) uint64 {
+	switch kind {
+	case ir.ConvTrunc:
+		bits := to.(*ir.IntType).Bits
+		return signExtend(v, bits)
+	case ir.ConvZExt:
+		bits := from.(*ir.IntType).Bits
+		if bits >= 64 {
+			return v
+		}
+		return v & (1<<uint(bits) - 1)
+	case ir.ConvSExt:
+		return v // registers already hold sign-extended values
+	case ir.ConvIntToFP:
+		f := float64(int64(v))
+		return floatBits(to.(*ir.FloatType), f)
+	case ir.ConvFPToInt:
+		f := math.Float64frombits(v)
+		return signExtend(uint64(int64(f)), to.(*ir.IntType).Bits)
+	case ir.ConvFPExt:
+		return v // f32 already promoted in registers
+	case ir.ConvFPTrunc:
+		return math.Float64bits(float64(float32(math.Float64frombits(v))))
+	case ir.ConvBitcast:
+		return v
+	}
+	panic(fmt.Sprintf("interp: unknown conversion %v", kind))
+}
+
+// loadScalar reads one scalar at addr following the access layout resolved
+// by ir.Lower. Bytes in memory are always in the standard (mobile) order;
+// when the executing machine's byte order differs, the compiler inserted
+// translation code, which we account for via the Swap flag. Widen marks the
+// address-size conversion for pointer values stored at the unified (mobile)
+// width.
+func (m *Machine) loadScalar(addr uint32, elem ir.Type, lay ir.MemLayout) (uint64, error) {
+	if lay.Size == 0 {
+		return 0, fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
+	}
+	if lay.Swap {
+		m.charge(arch.OpEndianSwap, CompCompute)
+	}
+	if lay.Widen {
+		m.charge(arch.OpPtrConvert, CompCompute)
+	}
+	return m.loadScalarNoCharge(addr, elem, lay)
+}
+
+// storeScalar writes one scalar at addr following the access layout.
+func (m *Machine) storeScalar(addr uint32, elem ir.Type, lay ir.MemLayout, bits uint64) error {
+	if lay.Size == 0 {
+		return fmt.Errorf("interp(%s): unlowered memory access (run ir.Lower)", m.Name)
+	}
+	if lay.Swap {
+		m.charge(arch.OpEndianSwap, CompCompute)
+	}
+	if lay.Widen {
+		m.charge(arch.OpPtrConvert, CompCompute)
+	}
+	return m.storeScalarNoCharge(addr, elem, lay, bits)
+}

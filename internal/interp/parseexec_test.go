@@ -17,7 +17,7 @@ func TestParsedModuleExecutesIdentically(t *testing.T) {
 	run := func(m *ir.Module) (int32, int64) {
 		work := m.Clone("run")
 		ir.Lower(work, arch.ARM32(), arch.ARM32())
-		mach, err := NewMachine(Config{Name: "m", Spec: arch.ARM32(), Mod: work})
+		mach, err := newInstance(work, CompileConfig{Name: "m", Spec: arch.ARM32()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestParsedProgramWithIO(t *testing.T) {
 	}
 	ir.Lower(parsed, arch.ARM32(), arch.ARM32())
 	io := NewStdIO(nil)
-	mach, err := NewMachine(Config{Name: "p", Spec: arch.ARM32(), Mod: parsed, IO: io})
+	mach, err := newInstance(parsed, CompileConfig{Name: "p", Spec: arch.ARM32()}, WithIO(io))
 	if err != nil {
 		t.Fatal(err)
 	}

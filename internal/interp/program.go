@@ -25,9 +25,9 @@ type Program struct {
 }
 
 // CompileConfig selects the architecture binding a module is compiled
-// against. It mirrors the machine-identity subset of Config: everything
-// here is baked into the compiled artifact (addresses, cost aggregates,
-// trap messages, the initial image), so it is part of the cache key.
+// against. Everything here is baked into the compiled artifact (addresses,
+// cost aggregates, trap messages, the initial image), so it is part of the
+// cache key.
 type CompileConfig struct {
 	// Name labels the machines instantiated from this program ("mobile",
 	// "server"); trap messages bake it in.
@@ -59,8 +59,8 @@ func (cfg CompileConfig) withDefaults() CompileConfig {
 
 // Compile builds the shared program artifact for mod under cfg: link,
 // load the initial memory image, and pre-decode every function. The module
-// must already be lowered (ir.Lower) against cfg.Std — shared code cannot
-// compile lazily, so the layout must be final. A non-nil cache memoizes the
+// must already be lowered (ir.Lower) against cfg.Std: pre-decoding bakes in
+// layout-resolved sizes and strides. A non-nil cache memoizes the
 // result under the (module digest, architecture binding) key; concurrent
 // callers of an uncached key block on one compile.
 func Compile(mod *ir.Module, cfg CompileConfig, cache *CompilationCache) (*Program, error) {
@@ -79,14 +79,14 @@ func compileProgram(mod *ir.Module, cfg CompileConfig) (*Program, error) {
 		return nil, fmt.Errorf("interp: Compile needs a module")
 	}
 	if !mod.Lowered {
-		return nil, fmt.Errorf("interp: Compile requires a lowered module (run ir.Lower against the standard spec first)")
+		return nil, fmt.Errorf("interp: cannot compile unlowered module %s (run ir.Lower against the standard spec first)", mod.Name)
 	}
 	lay := newLinkage(mod, cfg.Std, cfg.FuncBase, cfg.ShuffleFuncs, cfg.ShuffleGlobals)
 
 	// Load the initial image into a scratch memory and freeze it. The
-	// scratch memory materializes exactly the pages a NewMachine loader
-	// would, so an instance's present-page set is bit-identical to a
-	// private machine's.
+	// scratch memory materializes exactly the pages a private loader would,
+	// so an instance's present-page set is bit-identical to a private
+	// machine's.
 	scratch := mem.New()
 	if err := writeGlobalInits(scratch, mod, cfg.Std, lay, cfg.InitUVAGlobals); err != nil {
 		return nil, err
@@ -96,10 +96,9 @@ func compileProgram(mod *ir.Module, cfg CompileConfig) (*Program, error) {
 	cc := newCompiler(cfg.Name, cfg.Spec, cfg.Std, lay, len(mod.Funcs))
 	for _, f := range mod.Funcs {
 		if !f.IsExtern() {
-			cc.ensureCompiled(f)
+			cc.compileInto(cc.shell(f))
 		}
 	}
-	cc.sealed = true
 	return &Program{cfg: cfg, mod: mod, lay: lay, cc: cc, image: img}, nil
 }
 
@@ -119,7 +118,6 @@ type instanceConfig struct {
 	io        IOHost
 	sys       SysHost
 	costScale int64
-	engine    Engine
 }
 
 // WithIO sets the instance's I/O host (defaults to NewStdIO(nil)).
@@ -128,13 +126,13 @@ func WithIO(io IOHost) InstanceOption { return func(c *instanceConfig) { c.io = 
 // WithSys sets the instance's system host (the offload runtime).
 func WithSys(sys SysHost) InstanceOption { return func(c *instanceConfig) { c.sys = sys } }
 
-// WithCostScale amplifies compute charges (see Config.CostScale).
+// WithCostScale amplifies compute charges (see Machine.CostScale).
 func WithCostScale(s int64) InstanceOption { return func(c *instanceConfig) { c.costScale = s } }
 
-// WithEngine selects the execution engine. EngineRef instances interpret
-// the IR tree directly (they still share the program's image and address
-// layout); the default EngineFast runs the shared pre-decoded code.
-func WithEngine(e Engine) InstanceOption { return func(c *instanceConfig) { c.engine = e } }
+// WithEngine once selected the execution engine.
+//
+// Deprecated: ignored; every instance runs the pre-decoded engine.
+func WithEngine(Engine) InstanceOption { return func(*instanceConfig) {} }
 
 // NewInstance binds a new session machine to the shared program: fresh
 // registers, clock and heap state over a copy-on-write overlay of the
@@ -144,20 +142,45 @@ func WithEngine(e Engine) InstanceOption { return func(c *instanceConfig) { c.en
 // individually thread-safe (a Machine never was), but any number of
 // instances of one Program may run concurrently.
 func (p *Program) NewInstance(opts ...InstanceOption) *Machine {
+	return p.bind(mem.NewOverlay(p.image), opts)
+}
+
+// bind builds a session machine running p's compiled code over mm.
+func (p *Program) bind(mm *mem.Memory, opts []InstanceOption) *Machine {
 	var cfg instanceConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m := newMachineShell(p.cfg.Name, p.cfg.Spec, p.cfg.Std, p.mod, mem.NewOverlay(p.image), p.lay, p.cc)
-	m.prog = p
-	m.Engine = cfg.engine
+	m := &Machine{
+		Name:      p.cfg.Name,
+		Spec:      p.cfg.Spec,
+		Std:       p.cfg.Std,
+		Mod:       p.mod,
+		Mem:       mm,
+		CostScale: 1,
+		IO:        NewStdIO(nil),
+		Sys:       cfg.sys,
+		lay:       p.lay,
+		cc:        p.cc,
+		prog:      p,
+		pools:     make([][][]uint64, p.cc.nfuncs),
+		sp:        p.mod.StackBase,
+		spFloor:   p.mod.StackBase - mem.StackBytes,
+	}
 	if cfg.costScale > 0 {
 		m.CostScale = cfg.costScale
 	}
 	if cfg.io != nil {
 		m.IO = cfg.io
 	}
-	m.Sys = cfg.sys
-	m.pools = make([][][]uint64, p.cc.nfuncs)
+	m.ResolveFptr = func(addr uint32, mapped bool) (*ir.Func, error) {
+		f, ok := m.lay.funcByAddr[addr]
+		if !ok {
+			return nil, fmt.Errorf("interp(%s): no function at address 0x%x (unmapped cross-machine pointer?)", m.Name, addr)
+		}
+		return f, nil
+	}
+	m.Heap = mem.UVAHeap(mm)
+	m.LocalHeap = mem.NewAllocator(mm, mem.LocalBase+0x0100_0000, mem.LocalBase+0x0200_0000)
 	return m
 }

@@ -10,14 +10,11 @@ import (
 	"repro/internal/mem"
 )
 
-// runInstance binds one instance of prog and captures the same observation
-// set the engine differential suite compares.
-func runInstance(t *testing.T, prog *Program, eng Engine, costScale int64) engineRun {
-	t.Helper()
-	io := NewStdIO(nil)
-	m := prog.NewInstance(WithIO(io), WithEngine(eng), WithCostScale(costScale))
+// observe runs main on m through eng and captures the observation set the
+// differential suites compare.
+func observe(m *Machine, io *StdIO, eng engine) engineRun {
 	r := engineRun{}
-	code, err := m.RunMain()
+	code, err := eng.runMain(m)
 	r.code = code
 	if err != nil {
 		r.errStr = err.Error()
@@ -30,30 +27,35 @@ func runInstance(t *testing.T, prog *Program, eng Engine, costScale int64) engin
 	return r
 }
 
-// runLegacy runs mod on a private NewMachine (the deprecated one-constructor
-// path that copies nothing and shares nothing) as the fidelity baseline.
+// runInstance binds one instance of prog and observes its run on eng.
+func runInstance(prog *Program, eng engine, costScale int64) engineRun {
+	io := NewStdIO(nil)
+	return observe(prog.NewInstance(WithIO(io), WithCostScale(costScale)), io, eng)
+}
+
+// privateMachine compiles the lowered mod afresh and binds it over a
+// private memory the linker loads directly: no cache, no shared image, no
+// copy-on-write overlay. It is the baseline shared instances are held to.
+func privateMachine(t testing.TB, mod *ir.Module, cfg CompileConfig, opts ...InstanceOption) *Machine {
+	t.Helper()
+	prog, err := compileProgram(mod, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New()
+	if err := writeGlobalInits(mm, mod, prog.cfg.Std, prog.lay, prog.cfg.InitUVAGlobals); err != nil {
+		t.Fatal(err)
+	}
+	return prog.bind(mm, opts)
+}
+
+// runLegacy runs mod on a private machine as the fidelity baseline.
 func runLegacy(t *testing.T, work *ir.Module, spec, std *arch.Spec, costScale int64) engineRun {
 	t.Helper()
 	io := NewStdIO(nil)
-	m, err := NewMachine(Config{
-		Name: "diff", Spec: spec, Std: std, Mod: work,
-		IO: io, CostScale: costScale, InitUVAGlobals: true, Engine: EngineFast,
-	})
-	if err != nil {
-		t.Fatalf("NewMachine: %v", err)
-	}
-	r := engineRun{}
-	code, err := m.RunMain()
-	r.code = code
-	if err != nil {
-		r.errStr = err.Error()
-	}
-	r.out = io.Out.String()
-	r.steps = m.Steps
-	r.clock = m.Clock
-	r.comp = m.Comp
-	r.digest = m.Mem.Digest(mem.StackRanges()...)
-	return r
+	m := privateMachine(t, work, CompileConfig{Name: "diff", Spec: spec, Std: std, InitUVAGlobals: true},
+		WithIO(io), WithCostScale(costScale))
+	return observe(m, io, engineFast)
 }
 
 // TestSharedInstanceDifferential reruns the seeded random-program suite on
@@ -82,8 +84,8 @@ func TestSharedInstanceDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Compile: %v", label, err)
 			}
-			compareRuns(t, label+" shared-fast", runInstance(t, prog, EngineFast, 1), legacy)
-			compareRuns(t, label+" shared-ref", runInstance(t, prog, EngineRef, 1), legacy)
+			compareRuns(t, label+" shared-fast", runInstance(prog, engineFast, 1), legacy)
+			compareRuns(t, label+" shared-ref", runInstance(prog, engineOracle, 1), legacy)
 			if t.Failed() {
 				t.Fatalf("%s: shared instance diverged from private machine", label)
 			}
@@ -123,19 +125,7 @@ func TestConcurrentCompileAndRun(t *testing.T) {
 			}
 			progs[i] = prog
 			io := NewStdIO(nil)
-			m := prog.NewInstance(WithIO(io))
-			r := engineRun{}
-			code, err := m.RunMain()
-			r.code = code
-			if err != nil {
-				r.errStr = err.Error()
-			}
-			r.out = io.Out.String()
-			r.steps = m.Steps
-			r.clock = m.Clock
-			r.comp = m.Comp
-			r.digest = m.Mem.Digest(mem.StackRanges()...)
-			runs[i] = r
+			runs[i] = observe(prog.NewInstance(WithIO(io)), io, engineFast)
 		}(i)
 	}
 	wg.Wait()
@@ -181,13 +171,7 @@ func TestBindSmoke(t *testing.T) {
 		t.Fatalf("fresh instance holds %d private bytes; bind must not copy the image", got)
 	}
 
-	io := NewStdIO(nil)
-	legacy, err := NewMachine(Config{
-		Name: "diff", Spec: spec, Mod: work, IO: io, InitUVAGlobals: true,
-	})
-	if err != nil {
-		t.Fatalf("NewMachine: %v", err)
-	}
+	legacy := privateMachine(t, work, cfg)
 	lp, ip := legacy.Mem.PresentPages(), inst.Mem.PresentPages()
 	if len(lp) != len(ip) {
 		t.Fatalf("present pages: legacy %d, instance %d", len(lp), len(ip))

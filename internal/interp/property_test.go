@@ -22,7 +22,7 @@ func TestRandomIntExpressionsMatchGo(t *testing.T) {
 		for _, spec := range specs {
 			work := mod.Clone("run")
 			ir.Lower(work, spec, spec)
-			m, err := NewMachine(Config{Name: "prop", Spec: spec, Mod: work})
+			m, err := newInstance(work, CompileConfig{Name: "prop", Spec: spec})
 			if err != nil {
 				return false
 			}
@@ -150,7 +150,7 @@ func TestRandomFloatExpressionsMatchGo(t *testing.T) {
 
 		spec := arch.ARM32()
 		ir.Lower(mod, spec, spec)
-		m, err := NewMachine(Config{Name: "fprop", Spec: spec, Mod: mod})
+		m, err := newInstance(mod, CompileConfig{Name: "fprop", Spec: spec})
 		if err != nil {
 			return false
 		}
@@ -200,7 +200,7 @@ func TestMemoryRoundTripAllWidths(t *testing.T) {
 			b.Ret(ir.Int(0))
 			b.Finish()
 			ir.Lower(mod, pr[0], pr[1])
-			m, err := NewMachine(Config{Name: "rt", Spec: pr[0], Std: pr[1], Mod: mod})
+			m, err := newInstance(mod, CompileConfig{Name: "rt", Spec: pr[0], Std: pr[1]})
 			if err != nil {
 				t.Fatal(err)
 			}

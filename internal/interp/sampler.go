@@ -18,7 +18,7 @@ import (
 // Flush the attributed total equals the machine's Clock to the picosecond.
 //
 // The stack is maintained at the interpreter's existing call/return points
-// on both engines (callRef, callFast/callCompiled, callExtern), and ticks
+// (runCompiled, callExtern), and ticks
 // are checked with a two-load guard at every clock-advance site, so a
 // machine without a sampler pays one predictable branch and the hot loop
 // stays 0 allocs/op.
@@ -246,9 +246,8 @@ func (s *Sampler) TopFuncs() []FuncStat {
 }
 
 // SetSampler attaches (or, with nil, detaches) a sampling profiler to the
-// machine. Attribution starts at the machine's current Clock. Unlike a
-// profiling Listener, a sampler works on both engines and keeps the fast
-// engine's hot loop allocation-free.
+// machine. Attribution starts at the machine's current Clock. The
+// interpreter's hot loop stays allocation-free with a sampler attached.
 func (m *Machine) SetSampler(s *Sampler) {
 	m.sampler = s
 	if s != nil {

@@ -9,12 +9,12 @@ import (
 
 // runSampled executes the call kernel with a sampler attached and returns
 // the flushed sampler plus the machine's final clock.
-func runSampled(t *testing.T, eng Engine, period simtime.PS) (*Sampler, simtime.PS) {
+func runSampled(t *testing.T, eng engine, period simtime.PS) (*Sampler, simtime.PS) {
 	t.Helper()
-	m, kern := kernelMachine(t, callKernelModule(512), eng)
+	m, kern := kernelMachine(t, callKernelModule(512))
 	s := NewSampler(period)
 	m.SetSampler(s)
-	if _, err := m.CallFunc(kern); err != nil {
+	if _, err := eng.call(m, kern, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush(m.Clock)
@@ -25,14 +25,14 @@ func runSampled(t *testing.T, eng Engine, period simtime.PS) (*Sampler, simtime.
 // Flush, every simulated picosecond the machine ran is attributed to some
 // stack, on both engines, regardless of period.
 func TestSamplerTotalMatchesClock(t *testing.T) {
-	for _, eng := range []Engine{EngineFast, EngineRef} {
+	for _, eng := range []engine{engineFast, engineOracle} {
 		for _, period := range []simtime.PS{0, simtime.Microsecond, 100 * simtime.Microsecond} {
 			s, clock := runSampled(t, eng, period)
 			if s.Total() != int64(clock) {
-				t.Errorf("engine %v period %v: Total = %d, Clock = %d", eng, period, s.Total(), clock)
+				t.Errorf("engine %s period %v: Total = %d, Clock = %d", eng.name, period, s.Total(), clock)
 			}
 			if s.Samples() == 0 {
-				t.Errorf("engine %v period %v: no samples fired", eng, period)
+				t.Errorf("engine %s period %v: no samples fired", eng.name, period)
 			}
 		}
 	}
@@ -41,8 +41,8 @@ func TestSamplerTotalMatchesClock(t *testing.T) {
 // TestSamplerDeterminism: two identical runs fold to byte-identical
 // profiles — the acceptance bar for golden-testing anything downstream.
 func TestSamplerDeterminism(t *testing.T) {
-	a, _ := runSampled(t, EngineFast, simtime.Microsecond)
-	b, _ := runSampled(t, EngineFast, simtime.Microsecond)
+	a, _ := runSampled(t, engineFast, simtime.Microsecond)
+	b, _ := runSampled(t, engineFast, simtime.Microsecond)
 	if a.Folded() != b.Folded() {
 		t.Errorf("identical runs produced different profiles:\n--- a\n%s--- b\n%s", a.Folded(), b.Folded())
 	}
@@ -51,7 +51,7 @@ func TestSamplerDeterminism(t *testing.T) {
 // TestSamplerStacks checks the folded output has the expected shape: the
 // callee attributed under the caller, and TopFuncs consistent with it.
 func TestSamplerStacks(t *testing.T) {
-	s, clock := runSampled(t, EngineFast, simtime.Microsecond)
+	s, clock := runSampled(t, engineFast, simtime.Microsecond)
 	folded := s.Folded()
 	if !strings.Contains(folded, "kern;leaf ") {
 		t.Errorf("profile missing kern;leaf stack:\n%s", folded)
@@ -99,7 +99,7 @@ func TestSamplerNil(t *testing.T) {
 	if err := s.WriteFolded(&strings.Builder{}, "x"); err != nil {
 		t.Error(err)
 	}
-	m, kern := kernelMachine(t, loopKernelModule(16), EngineFast)
+	m, kern := kernelMachine(t, loopKernelModule(16))
 	m.SetSampler(nil) // detached machine must run unchanged
 	if _, err := m.CallFunc(kern); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSamplerNil(t *testing.T) {
 // attached (the existing TestFastEngineZeroAllocSteadyState covers the
 // same paths; this one exists so a regression points at the sampler).
 func TestSamplerDisabledZeroAlloc(t *testing.T) {
-	m, kern := kernelMachine(t, loopKernelModule(256), EngineFast)
+	m, kern := kernelMachine(t, loopKernelModule(256))
 	if _, err := m.CallFunc(kern); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSamplerDisabledZeroAlloc(t *testing.T) {
 // folded map keys exist, further attribution reuses the scratch key and
 // the steady state stays allocation-free too.
 func TestSamplerEnabledSteadyAlloc(t *testing.T) {
-	m, kern := kernelMachine(t, loopKernelModule(256), EngineFast)
+	m, kern := kernelMachine(t, loopKernelModule(256))
 	s := NewSampler(simtime.Microsecond)
 	m.SetSampler(s)
 	if _, err := m.CallFunc(kern); err != nil { // warm: intern the stack keys

@@ -78,7 +78,7 @@ func setupProg(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *pr
 	work := mod.Clone("prof")
 	mobSpec := arch.ARM32()
 	ir.Lower(work, mobSpec, mobSpec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "prof", Spec: mobSpec, Mod: work, CostScale: 3000, InitUVAGlobals: true})
+	pm, _ := newInstance(work, interp.CompileConfig{Name: "prof", Spec: mobSpec, InitUVAGlobals: true}, interp.WithCostScale(3000))
 	prof, err := profile.Run(pm)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func compilePair(t *testing.T, mod *ir.Module, costScale int64) *compiler.Result
 	work := mod.Clone("prof")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work, CostScale: costScale, InitUVAGlobals: true})
+	pm, _ := newInstance(work, interp.CompileConfig{Name: "p", Spec: spec, InitUVAGlobals: true}, interp.WithCostScale(costScale))
 	prof, err := profile.Run(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -73,17 +73,17 @@ func compilePair(t *testing.T, mod *ir.Module, costScale int64) *compiler.Result
 
 func runPair(t *testing.T, cres *compiler.Result, costScale int64) (int32, error) {
 	t.Helper()
-	mobile, err := interp.NewMachine(interp.Config{
-		Name: "mobile", Spec: arch.ARM32(), Std: arch.ARM32(), Mod: cres.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true, CostScale: costScale,
-	})
+	mobile, err := newInstance(cres.Mobile, interp.CompileConfig{
+		Name: "mobile", Spec: arch.ARM32(), Std: arch.ARM32(),
+		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
+	}, interp.WithCostScale(costScale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := interp.NewMachine(interp.Config{
-		Name: "server", Spec: arch.X8664(), Std: arch.ARM32(), Mod: cres.Server,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true, CostScale: costScale,
-	})
+	server, err := newInstance(cres.Server, interp.CompileConfig{
+		Name: "server", Spec: arch.X8664(), Std: arch.ARM32(),
+		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
+	}, interp.WithCostScale(costScale))
 	if err != nil {
 		t.Fatal(err)
 	}

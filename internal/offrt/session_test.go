@@ -71,7 +71,7 @@ func setup(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *testEn
 	work := mod.Clone("prof")
 	mobSpec := arch.ARM32()
 	ir.Lower(work, mobSpec, mobSpec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "prof", Spec: mobSpec, Mod: work, CostScale: 3000, InitUVAGlobals: true})
+	pm, _ := newInstance(work, interp.CompileConfig{Name: "prof", Spec: mobSpec, InitUVAGlobals: true}, interp.WithCostScale(3000))
 	prof, err := profile.Run(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -84,17 +84,17 @@ func setup(t *testing.T, link *netsim.Link, pol Policy, extra ...Option) *testEn
 	}
 
 	io := interp.NewStdIO(nil)
-	mobile, err := interp.NewMachine(interp.Config{
-		Name: "mobile", Spec: opt.Mobile, Std: opt.Mobile, Mod: cres.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true, IO: io, CostScale: 3000,
-	})
+	mobile, err := newInstance(cres.Mobile, interp.CompileConfig{
+		Name: "mobile", Spec: opt.Mobile, Std: opt.Mobile,
+		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
+	}, interp.WithIO(io), interp.WithCostScale(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := interp.NewMachine(interp.Config{
-		Name: "server", Spec: opt.Server, Std: opt.Mobile, Mod: cres.Server,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true, CostScale: 3000,
-	})
+	server, err := newInstance(cres.Server, interp.CompileConfig{
+		Name: "server", Spec: opt.Server, Std: opt.Mobile,
+		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
+	}, interp.WithCostScale(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 	work := mod.Clone("prof")
 	spec := arch.ARM32()
 	ir.Lower(work, spec, spec)
-	pm, _ := interp.NewMachine(interp.Config{Name: "p", Spec: spec, Mod: work, CostScale: cost, InitUVAGlobals: true, IO: mkIO()})
+	pm, _ := newInstance(work, interp.CompileConfig{Name: "p", Spec: spec, InitUVAGlobals: true}, interp.WithCostScale(cost), interp.WithIO(mkIO()))
 	prof, err := profile.Run(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +300,9 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 
 	// Run locally once to learn when the first invocation finishes, then
 	// degrade the link to dial-up speeds right after it.
-	lm, _ := interp.NewMachine(interp.Config{Name: "l", Spec: spec, Mod: mod.Clone("l"), CostScale: cost, InitUVAGlobals: true, IO: mkIO()})
-	ir.Lower(lm.Mod, spec, spec)
+	local := mod.Clone("l")
+	ir.Lower(local, spec, spec)
+	lm, _ := newInstance(local, interp.CompileConfig{Name: "l", Spec: spec, InitUVAGlobals: true}, interp.WithCostScale(cost), interp.WithIO(mkIO()))
 	if _, err := lm.RunMain(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,17 +319,17 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mobile, err := interp.NewMachine(interp.Config{
-		Name: "mobile", Spec: spec, Std: spec, Mod: cres.Mobile,
-		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true, IO: mkIO(), CostScale: cost,
-	})
+	mobile, err := newInstance(cres.Mobile, interp.CompileConfig{
+		Name: "mobile", Spec: spec, Std: spec,
+		FuncBase: mem.FuncBaseMobile, InitUVAGlobals: true,
+	}, interp.WithIO(mkIO()), interp.WithCostScale(cost))
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := interp.NewMachine(interp.Config{
-		Name: "server", Spec: arch.X8664(), Std: spec, Mod: cres.Server,
-		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true, CostScale: cost,
-	})
+	server, err := newInstance(cres.Server, interp.CompileConfig{
+		Name: "server", Spec: arch.X8664(), Std: spec,
+		FuncBase: mem.FuncBaseServer, ShuffleFuncs: true, ShuffleGlobals: true,
+	}, interp.WithCostScale(cost))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,4 +365,13 @@ func TestDynamicGateReactsToDegradingNetwork(t *testing.T) {
 		t.Errorf("gate decisions = %d offloads + %d declines, want 3 total", offloads, declines)
 	}
 	t.Logf("degrading network: %d offloaded, %d declined (local fallback)", offloads, declines)
+}
+
+// newInstance compiles the lowered mod under cfg and binds one instance.
+func newInstance(mod *ir.Module, cfg interp.CompileConfig, opts ...interp.InstanceOption) (*interp.Machine, error) {
+	prog, err := interp.Compile(mod, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewInstance(opts...), nil
 }

@@ -43,7 +43,7 @@ func TestPartitionMobileInsertsGate(t *testing.T) {
 	// The gated binary still computes the same value locally.
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
+	m, _ := newInstance(mod, interp.CompileConfig{Name: "m", Spec: spec})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestPartitionMobileMultipleSites(t *testing.T) {
 	}
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
+	m, _ := newInstance(mod, interp.CompileConfig{Name: "m", Spec: spec})
 	code, err := m.RunMain()
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestOutlineLoopExecutesEquivalently(t *testing.T) {
 	run := func(mod *ir.Module) int32 {
 		spec := arch.ARM32()
 		ir.Lower(mod, spec, spec)
-		m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
+		m, _ := newInstance(mod, interp.CompileConfig{Name: "m", Spec: spec})
 		code, err := m.RunMain()
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestDemotionMakesEscapingLoopOutlinable(t *testing.T) {
 	run := func(mod *ir.Module) int32 {
 		spec := arch.ARM32()
 		ir.Lower(mod, spec, spec)
-		m, _ := interp.NewMachine(interp.Config{Name: "m", Spec: spec, Mod: mod})
+		m, _ := newInstance(mod, interp.CompileConfig{Name: "m", Spec: spec})
 		code, err := m.RunMain()
 		if err != nil {
 			t.Fatal(err)
@@ -289,4 +289,13 @@ func TestDemotionMakesEscapingLoopOutlinable(t *testing.T) {
 	if out.Sig.Ret != ir.Void {
 		t.Error("outlined loop should be void (value flows through the stack slot)")
 	}
+}
+
+// newInstance compiles the lowered mod under cfg and binds one instance.
+func newInstance(mod *ir.Module, cfg interp.CompileConfig, opts ...interp.InstanceOption) (*interp.Machine, error) {
+	prog, err := interp.Compile(mod, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewInstance(opts...), nil
 }

@@ -50,7 +50,7 @@ func profiled(t *testing.T) *Report {
 	buildChessSkeleton(mod)
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, err := interp.NewMachine(interp.Config{Name: "prof", Spec: spec, Mod: mod})
+	m, err := newInstance(mod, interp.CompileConfig{Name: "prof", Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRecursionNotDoubleCounted(t *testing.T) {
 	b.Finish()
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "rec", Spec: spec, Mod: mod})
+	m, _ := newInstance(mod, interp.CompileConfig{Name: "rec", Spec: spec})
 	r, err := Run(m)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestDetachRestoresMachine(t *testing.T) {
 	b.Finish()
 	spec := arch.ARM32()
 	ir.Lower(mod, spec, spec)
-	m, _ := interp.NewMachine(interp.Config{Name: "d", Spec: spec, Mod: mod})
+	m, _ := newInstance(mod, interp.CompileConfig{Name: "d", Spec: spec})
 	p, err := Attach(m)
 	if err != nil {
 		t.Fatal(err)
@@ -206,4 +206,13 @@ func TestSelfTimeExcludesCallees(t *testing.T) {
 	if main := r.Get("main"); int64(main.Time) != sum {
 		t.Errorf("self-time sum %d != main inclusive %d", sum, int64(main.Time))
 	}
+}
+
+// newInstance compiles the lowered mod under cfg and binds one instance.
+func newInstance(mod *ir.Module, cfg interp.CompileConfig, opts ...interp.InstanceOption) (*interp.Machine, error) {
+	prog, err := interp.Compile(mod, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewInstance(opts...), nil
 }
