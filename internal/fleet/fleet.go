@@ -38,6 +38,11 @@ type ServerSpec struct {
 	Slots int
 }
 
+// execTime is the task's service time at this server's speed.
+func (sp ServerSpec) execTime(tm simtime.PS) simtime.PS {
+	return simtime.PS(float64(tm) / sp.R)
+}
+
 // Discipline orders a server's run queue.
 type Discipline uint8
 

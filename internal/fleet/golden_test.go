@@ -36,6 +36,7 @@ func marshalResult(t *testing.T, cfg Config) []byte {
 // JSON shape shows up here; regenerate with `make golden` only for an
 // intentional output change.
 func TestResultGolden(t *testing.T) {
+	picks := checkEveryPick(t)
 	variants := []struct {
 		name   string
 		mutate func(Config) Config
@@ -92,4 +93,7 @@ func TestResultGolden(t *testing.T) {
 	fmt.Fprintf(&out, "tiers/3way %x\n", sha256.Sum256(tb))
 
 	goldentest.Check(t, "results.sha256", []byte(out.String()))
+	if *picks == 0 {
+		t.Fatal("no pick was checked against the scan oracle")
+	}
 }

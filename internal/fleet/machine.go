@@ -87,6 +87,17 @@ type server struct {
 	// down marks a crashed or draining server: the dispatcher routes
 	// around it and arrivals already in flight are relocated.
 	down bool
+
+	// cls and leaf place the server in its pool's load index. Every
+	// method below that changes reserved, queExec, finSum, running or
+	// down ends in reindex.
+	cls  *classIndex
+	leaf int
+}
+
+// reindex refreshes the server's leaf in its pool's load index.
+func (s *server) reindex() {
+	s.cls.set(s.leaf, s.reserved+s.queExec+s.finSum, len(s.running), s.down)
 }
 
 // advance integrates the utilization clock to now.
@@ -95,11 +106,6 @@ func (s *server) advance(now simtime.PS) {
 		s.busyPS += simtime.PS(int64(s.busy) * int64(now-s.lastT))
 		s.lastT = now
 	}
-}
-
-// execTime is the task's service time at this server's speed.
-func (s *server) execTime(tm simtime.PS) simtime.PS {
-	return simtime.PS(float64(tm) / s.spec.R)
 }
 
 // estWait estimates the queueing delay a request dispatched now would
@@ -129,6 +135,22 @@ func (s *server) estWaitAt(at simtime.PS) simtime.PS {
 	return left / simtime.PS(s.spec.Slots)
 }
 
+// reserve books the service time of a request routed here that is still
+// in flight.
+func (s *server) reserve(exec simtime.PS) {
+	s.reserved += exec
+	s.reindex()
+}
+
+// unreserve releases a reservation as its request lands, clamped at zero.
+func (s *server) unreserve(exec simtime.PS) {
+	s.reserved -= exec
+	if s.reserved < 0 {
+		s.reserved = 0
+	}
+	s.reindex()
+}
+
 // enqueue appends to the run queue under the discipline's bookkeeping.
 func (s *server) enqueue(j *job) {
 	s.queue = append(s.queue, j)
@@ -136,6 +158,7 @@ func (s *server) enqueue(j *job) {
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
+	s.reindex()
 }
 
 // pop removes the next queued job under the discipline: FIFO takes the
@@ -153,6 +176,7 @@ func (s *server) pop(d Discipline) *job {
 	j := s.queue[best]
 	s.queue = append(s.queue[:best], s.queue[best+1:]...)
 	s.queExec -= j.exec
+	s.reindex()
 	return j
 }
 
@@ -163,20 +187,55 @@ func (s *server) removeQueued(j *job) {
 		if q == j {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			s.queExec -= j.exec
+			s.reindex()
 			return
 		}
 	}
 }
 
-// dropRunning removes a completed job from the slot list.
+// start puts j in a slot until fin.
+func (s *server) start(j *job, fin simtime.PS) {
+	s.busy++
+	s.served++
+	j.finish = fin
+	s.running = append(s.running, j)
+	s.finSum += fin
+	s.reindex()
+}
+
+// dropRunning frees the slot a running job held.
 func (s *server) dropRunning(j *job) {
+	s.busy--
 	for i, r := range s.running {
 		if r == j {
 			s.running = append(s.running[:i], s.running[i+1:]...)
 			s.finSum -= j.finish
-			return
+			break
 		}
 	}
+	s.reindex()
+}
+
+// clearSlots empties every slot and returns the jobs that held them.
+func (s *server) clearSlots() []*job {
+	running := s.running
+	s.busy, s.running, s.finSum = 0, nil, 0
+	s.reindex()
+	return running
+}
+
+// clearQueue empties the run queue and returns the jobs it held.
+func (s *server) clearQueue() []*job {
+	queued := s.queue
+	s.queue, s.queExec = nil, 0
+	s.reindex()
+	return queued
+}
+
+// takeDown puts the server out of rotation for good.
+func (s *server) takeDown() {
+	s.down = true
+	s.reindex()
 }
 
 // detectDelay is the health monitor's failure-detection latency: the gap
@@ -255,15 +314,18 @@ type machine struct {
 	disp     dispatcher
 	backhaul *netsim.Link
 
+	// all is the one dispatch pool of a flat fleet (nil when tiered).
+	all *pool
+
 	// Tiered-topology state (nil/empty in a flat fleet). wan and wanRTT
 	// cache the topology's backhaul so the dispatch hot path never
-	// re-materializes the link; edgeIdx/cloudIdx are the per-tier
-	// candidate sets the dispatcher picks within.
+	// re-materializes the link; edge/cloud are the per-tier pools the
+	// dispatcher picks within.
 	topo      *tiers.Topology
 	wan       *netsim.Link
 	wanRTT    simtime.PS // both fixed round-trip costs of the WAN leg
-	edgeIdx   []int
-	cloudIdx  []int
+	edge      *pool
+	cloud     *pool
 	hWaitTier [2]*obs.Histogram
 	mWaitTier [2]*obs.Histogram
 
@@ -314,21 +376,26 @@ func newMachine(cfg *Config, clients []clientState) *machine {
 		m.topo = cfg.Tiers
 		m.wan = m.topo.WAN()
 		m.wanRTT = 2 * (m.wan.Latency + m.wan.PerMessage)
-		lo, hi := m.topo.Indices(tiers.Edge)
-		for i := lo; i < hi; i++ {
-			m.edgeIdx = append(m.edgeIdx, i)
-		}
-		lo, hi = m.topo.Indices(tiers.Cloud)
-		for i := lo; i < hi; i++ {
-			m.cloudIdx = append(m.cloudIdx, i)
-		}
+		m.edge = newPool(servers, span(m.topo.Indices(tiers.Edge)))
+		m.cloud = newPool(servers, span(m.topo.Indices(tiers.Cloud)))
 		m.hWaitTier = [2]*obs.Histogram{obs.NewHistogram(), obs.NewHistogram()}
 		m.mWaitTier = [2]*obs.Histogram{
 			cfg.Metrics.Histogram("lat.queue_wait_edge_ps"),
 			cfg.Metrics.Histogram("lat.queue_wait_cloud_ps"),
 		}
+	} else {
+		m.all = newPool(servers, span(0, len(servers)))
 	}
 	return m
+}
+
+// span lists the indices [lo, hi).
+func span(lo, hi int) []int {
+	idx := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		idx = append(idx, i)
+	}
+	return idx
 }
 
 // scheduleFaults seeds the server-fault timeline. Crash and drain are
@@ -438,7 +505,7 @@ func (m *machine) handleIntent(in intent) {
 	m.stepCtrl(in.t)
 	m.st.Events++
 	now := in.t
-	si, wait := m.disp.pick(m.servers, now, in.tm, in.up, in.down)
+	si, wait := m.disp.pickAmong(m.servers, m.all, now, in.tm, in.up, in.down)
 	if si < 0 {
 		// The whole pool is down or draining: nothing to offload to.
 		m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KGate, Track: obs.TrackFleet,
@@ -473,14 +540,14 @@ func (m *machine) handleIntent(in intent) {
 	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KDispatch, Track: obs.TrackFleet,
 		Name: string(m.cfg.Policy), A0: int64(in.ci), A1: int64(si),
 		A2: int64(len(srv.queue)), A3: int64(wait), Job: in.job})
-	exec := srv.execTime(in.tm)
+	exec := srv.spec.execTime(in.tm)
 	m.jobSeq++
 	j := m.newJob()
 	*j = job{id: in.job, rec: m.samp.rec(in.job, in), pend: segUplink,
 		client: in.ci, tm: in.tm, mem: in.mem, exec: exec,
 		decide: now, down: in.down, seq: m.jobSeq,
 		deadline: now + simtime.PS(deadlineSlack*float64(in.up+exec+in.down))}
-	srv.reserved += j.exec
+	srv.reserve(j.exec)
 	m.sched(now+in.up, evArrive, int32(si), j)
 }
 
@@ -501,18 +568,18 @@ func (m *machine) handleIntentTiered(in intent) {
 
 	var edge, cloud estimate.TierOption
 	ei, ci := -1, -1
-	if mode != tiers.CloudOnly && len(m.edgeIdx) > 0 {
+	if mode != tiers.CloudOnly {
 		var ew simtime.PS
-		ei, ew = m.disp.pickAmong(m.servers, m.edgeIdx, now, in.tm, in.up, in.down)
+		ei, ew = m.disp.pickAmong(m.servers, m.edge, now, in.tm, in.up, in.down)
 		if ei >= 0 {
 			edge = estimate.TierOption{OK: true,
 				P:     estimate.Params{R: m.servers[ei].spec.R, BandwidthBps: in.bw, RTT: in.rtt},
 				Queue: ew}
 		}
 	}
-	if mode != tiers.EdgeOnly && len(m.cloudIdx) > 0 {
+	if mode != tiers.EdgeOnly {
 		var cw simtime.PS
-		ci, cw = m.disp.pickAmong(m.servers, m.cloudIdx, now, in.tm, in.up+wanLeg, in.down+wanLeg)
+		ci, cw = m.disp.pickAmong(m.servers, m.cloud, now, in.tm, in.up+wanLeg, in.down+wanLeg)
 		if ci >= 0 {
 			cloud = estimate.TierOption{OK: true,
 				P: estimate.Params{R: m.servers[ci].spec.R,
@@ -557,14 +624,14 @@ func (m *machine) handleIntentTiered(in intent) {
 	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KDispatch, Track: obs.TrackFleet,
 		Name: string(m.cfg.Policy), A0: int64(in.ci), A1: int64(si),
 		A2: int64(len(srv.queue)), A3: int64(wait), Job: in.job})
-	exec := srv.execTime(in.tm)
+	exec := srv.spec.execTime(in.tm)
 	m.jobSeq++
 	j := m.newJob()
 	*j = job{id: in.job, rec: m.samp.rec(in.job, in), pend: segUplink,
 		client: in.ci, tm: in.tm, mem: in.mem, exec: exec,
 		decide: now, down: down, adown: in.down, tier: tier, seq: m.jobSeq,
 		deadline: now + simtime.PS(deadlineSlack*float64(up+exec+down))}
-	srv.reserved += j.exec
+	srv.reserve(j.exec)
 	m.sched(now+up, evArrive, int32(si), j)
 }
 
@@ -579,10 +646,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 	// or a slot instead. This runs even when the server is down — a
 	// reservation against a dead server is exactly the slot-accounting
 	// leak the end-of-run invariant guards.
-	s.reserved -= j.exec
-	if s.reserved < 0 {
-		s.reserved = 0
-	}
+	s.unreserve(j.exec)
 	// The transit that delivered this arrival (uplink, WAN ship, resend)
 	// closes here.
 	j.rec.mark(now, j.pend, -1)
@@ -658,7 +722,7 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 		// request down a tier instead of queueing it.
 		if j.tier == tierEdge && !j.recovery && m.cfg.Migrate &&
 			m.topo.EffectiveMode() == tiers.ThreeWay &&
-			m.demote(now, si, j, s.estWait(now)+s.execTime(j.tm)+j.adown, true) {
+			m.demote(now, si, j, s.estWait(now)+s.spec.execTime(j.tm)+j.adown, true) {
 			m.freeJob(j)
 			return
 		}
@@ -673,9 +737,6 @@ func (m *machine) handleArrive(now simtime.PS, si int32, j *job) {
 // at start governs the job, window edges inside the service interval are
 // not split).
 func (m *machine) startJob(si int32, j *job, t simtime.PS) {
-	s := m.servers[si]
-	s.busy++
-	s.served++
 	fin := t + j.exec
 	if p := m.cfg.ServerFaults; p.Active() {
 		start := t
@@ -684,10 +745,8 @@ func (m *machine) startJob(si int32, j *job, t simtime.PS) {
 		}
 		fin = start + simtime.PS(float64(j.exec)*p.SlowFactor(int(si), start))
 	}
-	j.finish = fin
-	s.running = append(s.running, j)
-	s.finSum += fin
-	m.sched(j.finish, evFinish, si, j)
+	m.servers[si].start(j, fin)
+	m.sched(fin, evFinish, si, j)
 }
 
 // handleFinish completes a job: reply to the client, free the slot, pull
@@ -703,7 +762,6 @@ func (m *machine) handleFinish(now simtime.PS, si int32, j *job) {
 	}
 	s := m.servers[si]
 	s.advance(now)
-	s.busy--
 	s.dropRunning(j)
 	done := now + j.down
 	missed := j.deadline > 0 && done > j.deadline
@@ -757,7 +815,7 @@ func (m *machine) bestUp(at simtime.PS, remTm simtime.PS) int {
 		if s.down {
 			continue
 		}
-		total := s.estWaitAt(at) + s.execTime(remTm)
+		total := s.estWaitAt(at) + s.spec.execTime(remTm)
 		if best < 0 || total < bestTotal {
 			best, bestTotal = i, total
 		}
@@ -792,7 +850,7 @@ func (m *machine) relocate(j *job, remTm simtime.PS, at, localAt simtime.PS, tra
 			}
 		}
 		t := m.servers[ti]
-		remoteDone := at + t.estWaitAt(at) + t.execTime(remTm) + down
+		remoteDone := at + t.estWaitAt(at) + t.spec.execTime(remTm) + down
 		if remoteDone >= localAt+j.tm {
 			ti = -1 // a loaded pool makes local re-execution the better recovery
 		}
@@ -809,9 +867,9 @@ func (m *machine) relocate(j *job, remTm simtime.PS, at, localAt simtime.PS, tra
 	m.jobSeq++
 	nj := m.newJob()
 	*nj = job{id: j.id, rec: j.rec, pend: transit,
-		client: j.client, tm: j.tm, mem: j.mem, exec: t.execTime(remTm),
+		client: j.client, tm: j.tm, mem: j.mem, exec: t.spec.execTime(remTm),
 		decide: j.decide, down: down, adown: j.adown, tier: tier, seq: m.jobSeq, recovery: true}
-	t.reserved += nj.exec
+	t.reserve(nj.exec)
 	m.sched(at, evArrive, int32(ti), nj)
 	return true
 }
@@ -831,12 +889,12 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 	ship := m.wan.TransferTime(j.mem)
 	at := now + ship
 	ti, bestTotal := -1, simtime.PS(0)
-	for _, ci := range m.cloudIdx {
+	for _, ci := range m.cloud.members {
 		s := m.servers[ci]
 		if s.down {
 			continue
 		}
-		total := s.estWaitAt(at) + s.execTime(j.tm)
+		total := s.estWaitAt(at) + s.spec.execTime(j.tm)
 		if ti < 0 || total < bestTotal {
 			ti, bestTotal = ci, total
 		}
@@ -861,10 +919,10 @@ func (m *machine) demote(now simtime.PS, si int32, j *job, stay simtime.PS, volu
 	m.jobSeq++
 	nj := m.newJob()
 	*nj = job{id: j.id, rec: j.rec, pend: segWanShip,
-		client: j.client, tm: j.tm, mem: j.mem, exec: t.execTime(j.tm),
+		client: j.client, tm: j.tm, mem: j.mem, exec: t.spec.execTime(j.tm),
 		decide: j.decide, down: down, adown: j.adown, tier: tierCloud,
 		seq: m.jobSeq, recovery: true, deadline: j.deadline}
-	t.reserved += nj.exec
+	t.reserve(nj.exec)
 	m.sched(at, evArrive, int32(ti), nj)
 	return true
 }
@@ -887,7 +945,7 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 	consider := func(j *job, ci int, running bool, stay simtime.PS, remTm simtime.PS) {
 		ship := m.wan.TransferTime(j.mem)
 		at := now + ship
-		move := at + e.estWaitAt(at) + e.execTime(remTm) + j.adown
+		move := at + e.estWaitAt(at) + e.spec.execTime(remTm) + j.adown
 		gain := stay - move
 		if gain <= ship {
 			return
@@ -896,7 +954,7 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 			best, bi, bestRunning, bestGain = j, ci, running, gain
 		}
 	}
-	for _, ci := range m.cloudIdx {
+	for _, ci := range m.cloud.members {
 		c := m.servers[ci]
 		if c.down {
 			continue
@@ -926,7 +984,6 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 	remTm := best.tm
 	if bestRunning {
 		c.advance(now)
-		c.busy--
 		c.dropRunning(best)
 		best.cancelled = true // its scheduled evFinish fires as a no-op
 		remTm = simtime.PS(float64(best.finish-now) * c.spec.R)
@@ -947,10 +1004,10 @@ func (m *machine) promote(now simtime.PS, ei int32, trigger int64) {
 	m.jobSeq++
 	nj := m.newJob()
 	*nj = job{id: best.id, rec: best.rec, pend: segWanShip,
-		client: best.client, tm: best.tm, mem: best.mem, exec: e.execTime(remTm),
+		client: best.client, tm: best.tm, mem: best.mem, exec: e.spec.execTime(remTm),
 		decide: best.decide, down: best.adown, adown: best.adown, tier: tierEdge,
 		seq: m.jobSeq, recovery: true, deadline: best.deadline}
-	e.reserved += nj.exec
+	e.reserve(nj.exec)
 	m.sched(now+ship, evArrive, ei, nj)
 	if !bestRunning {
 		m.freeJob(best)
@@ -965,18 +1022,14 @@ func (m *machine) handleCrash(now simtime.PS, si int32) {
 	m.st.Events++
 	s := m.servers[si]
 	s.advance(now)
-	s.down = true
+	s.takeDown()
 	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
 		Name: "crash", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
-	victims := append(append([]*job(nil), s.running...), s.queue...)
-	for _, j := range s.running {
+	victims := s.clearSlots()
+	for _, j := range victims {
 		j.cancelled = true
 	}
-	s.busy = 0
-	s.running = nil
-	s.finSum = 0
-	s.queue = nil
-	s.queExec = 0
+	victims = append(victims, s.clearQueue()...)
 	for _, j := range victims {
 		// State died with the server, so recovery is a full re-send:
 		// the health monitor flags the crash after detectDelay and the
@@ -1024,14 +1077,14 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 	m.st.Events++
 	s := m.servers[si]
 	s.advance(now)
-	s.down = true
+	s.takeDown()
 	m.cfg.Tracer.Emit(obs.Event{Time: now, Kind: obs.KServerFault, Track: obs.TrackFleet,
 		Name: "drain", A0: int64(si), A1: int64(len(s.running)), A2: int64(len(s.queue))})
 	if !m.cfg.Migrate {
 		// Running jobs finish in place (a drain announces shutdown, it
 		// does not kill state), but the queue is abandoned: each waiting
 		// client falls back locally.
-		for _, j := range s.queue {
+		for _, j := range s.clearQueue() {
 			if r := j.rec; r != nil {
 				r.faulted = true
 				r.mark(now, segQueueLost, si)
@@ -1042,21 +1095,16 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 				done: now + detectDelay + j.tm})
 			m.freeJob(j)
 		}
-		s.queue = nil
-		s.queExec = 0
 		return
 	}
 	// Live migration: running jobs checkpoint and ship their dirty state
 	// over the backhaul, resuming mid-task on the target — only the
 	// *remaining* mobile-time travels. Queued jobs forward whole (they
 	// had not started) without a client round trip.
-	running := append([]*job(nil), s.running...)
-	for _, j := range s.running {
+	running := s.clearSlots()
+	for _, j := range running {
 		j.cancelled = true
 	}
-	s.busy = 0
-	s.running = nil
-	s.finSum = 0
 	for _, j := range running {
 		remTm := simtime.PS(0)
 		if j.finish > now {
@@ -1074,10 +1122,7 @@ func (m *machine) handleDrain(now simtime.PS, si int32) {
 				A0: int64(j.client), A1: int64(si), A2: j.mem, A3: int64(ship), Job: j.id})
 		}
 	}
-	queued := s.queue
-	s.queue = nil
-	s.queExec = 0
-	for _, j := range queued {
+	for _, j := range s.clearQueue() {
 		if r := j.rec; r != nil {
 			r.faulted = true
 			r.mark(now, segQueue, si) // the wait spent behind the drained backlog

@@ -46,66 +46,61 @@ type dispatcher struct {
 	rr     int // round-robin cursor
 }
 
-// pick chooses the server for a request a client decides to offload at
-// instant now: tm is the task's mobile execution time, up/down the
-// transfer times over this client's link. It returns the server index and
-// the estimated queueing delay there (the load signal the gate charges).
-// Crashed and draining servers are out of rotation for every policy; with
-// nobody up, pick returns -1 and the client runs the task locally.
-func (d *dispatcher) pick(servers []*server, now simtime.PS, tm simtime.PS, up, down simtime.PS) (int, simtime.PS) {
-	return d.pickAmong(servers, nil, now, tm, up, down)
+// pickCheck, when non-nil, sees every pick: the dispatcher as it was
+// before the pick, the arguments and the result. Tests set it to hold
+// the index to the linear-scan oracle on every decision of a run.
+var pickCheck func(pre dispatcher, servers []*server, p *pool, now, tm, up, down simtime.PS, si int, wait simtime.PS)
+
+// pickAmong chooses the server within pool p for a request a client
+// decides to offload at instant now: tm is the task's mobile execution
+// time, up/down the transfer times over this client's link. It returns
+// the server index and the estimated queueing delay there (the load
+// signal the gate charges). A flat fleet picks from one pool over every
+// server; the tiered dispatcher runs one pick per tier and lets the
+// 3-way placement gate arbitrate between the winners. Crashed and
+// draining servers are out of rotation for every policy; with nobody up,
+// pickAmong returns -1 and the client runs the task locally.
+func (d *dispatcher) pickAmong(servers []*server, p *pool, now, tm, up, down simtime.PS) (int, simtime.PS) {
+	pre := *d
+	si, wait := d.choose(servers, p, now, tm, up, down)
+	if pickCheck != nil {
+		pickCheck(pre, servers, p, now, tm, up, down, si, wait)
+	}
+	return si, wait
 }
 
-// pickAmong is pick restricted to a candidate index subset (nil means
-// the whole pool). The tiered dispatcher runs one pick per tier and
-// lets the 3-way placement gate arbitrate between the winners.
-func (d *dispatcher) pickAmong(servers []*server, candidates []int, now simtime.PS, tm simtime.PS, up, down simtime.PS) (int, simtime.PS) {
-	var alive []int
-	if candidates == nil {
-		alive = make([]int, 0, len(servers))
-		for i, s := range servers {
-			if !s.down {
-				alive = append(alive, i)
-			}
-		}
-	} else {
-		alive = make([]int, 0, len(candidates))
-		for _, i := range candidates {
-			if !servers[i].down {
-				alive = append(alive, i)
-			}
+// choose is pickAmong's policy switch. Random and round-robin count the
+// live members and then walk to the drawn one, so a pick allocates
+// nothing; least-loaded and est-aware ask the pool's load index.
+func (d *dispatcher) choose(servers []*server, p *pool, now, tm, up, down simtime.PS) (int, simtime.PS) {
+	if d.policy == LeastLoaded || d.policy == EstAware {
+		return p.least(d.policy, now, tm, up, down)
+	}
+	alive := 0
+	for _, i := range p.members {
+		if !servers[i].down {
+			alive++
 		}
 	}
-	if len(alive) == 0 {
+	if alive == 0 {
 		return -1, 0
 	}
-	switch d.policy {
-	case Random:
-		i := alive[d.rng.intn(len(alive))]
-		return i, servers[i].estWait(now)
-	case RoundRobin:
-		i := alive[d.rr%len(alive)]
+	var k int
+	if d.policy == Random {
+		k = d.rng.intn(alive)
+	} else {
+		k = d.rr % alive
 		d.rr++
-		return i, servers[i].estWait(now)
-	case LeastLoaded:
-		best, bestWait := alive[0], servers[alive[0]].estWait(now)
-		for _, i := range alive[1:] {
-			if w := servers[i].estWait(now); w < bestWait {
-				best, bestWait = i, w
-			}
-		}
-		return best, bestWait
-	default: // EstAware
-		best := alive[0]
-		bestWait := servers[best].estWait(now)
-		bestTotal := up + bestWait + servers[best].execTime(tm) + down
-		for _, i := range alive[1:] {
-			w := servers[i].estWait(now)
-			total := up + w + servers[i].execTime(tm) + down
-			if total < bestTotal {
-				best, bestWait, bestTotal = i, w, total
-			}
-		}
-		return best, bestWait
 	}
+	si := -1
+	for _, i := range p.members {
+		if !servers[i].down {
+			if k == 0 {
+				si = i
+				break
+			}
+			k--
+		}
+	}
+	return si, servers[si].estWait(now)
 }

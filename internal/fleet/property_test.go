@@ -9,7 +9,8 @@ import (
 )
 
 // randomConfig draws one fleet configuration from seed: pool shape and
-// policy (or a tiered topology in any mode), run-queue discipline,
+// policy (or a tiered topology in any mode, half of them loaded enough
+// to promote), run-queue discipline,
 // admission bounds, adaptive control, diurnal load, a server fault plan
 // with or without migration, and sometimes zero think time over ideal
 // (zero-cost) links.
@@ -19,10 +20,12 @@ func randomConfig(seed uint64) Config {
 	clients := 1 + r.intn(48)
 
 	var cfg Config
+	hot := false
 	if chance(3) {
 		topo := tiers.Default(1+r.intn(4), 1+r.intn(2))
 		topo.Mode = tiers.Modes()[r.intn(len(tiers.Modes()))]
 		cfg = TieredConfig(clients, topo)
+		hot = chance(2)
 	} else {
 		pols := Policies()
 		cfg = DefaultConfig(clients, 1+r.intn(6), pols[r.intn(len(pols))])
@@ -43,6 +46,21 @@ func randomConfig(seed uint64) Config {
 	if chance(3) {
 		cfg.Workload.DiurnalAmp = 0.9 * r.float()
 		cfg.Workload.DiurnalPeriod = simtime.PS(1+r.intn(8)) * simtime.Second
+	}
+	if hot {
+		// Half the tiered draws take the tier bench cell's shape: a 3-way
+		// crowd of short, small-footprint tasks under a diurnal tide.
+		// Bursts queue work at the cloud, troughs drain edge queues, and
+		// state light enough to ship lets the freed edge slots promote
+		// cloud work back (promotion is a migration).
+		cfg.Tiers.Mode = tiers.ThreeWay
+		cfg.Migrate = true
+		cfg.Clients += 48 + r.intn(96)
+		cfg.RequestsPerClient += 16 + r.intn(24)
+		cfg.Workload.TmMax = simtime.Second
+		cfg.Workload.MemMin, cfg.Workload.MemMax = 64<<10, 512<<10
+		cfg.Workload.DiurnalAmp, cfg.Workload.DiurnalPeriod = 0.6, 10*simtime.Second
+		cfg.Admission = DefaultConfig(1, 1, EstAware).Admission
 	}
 	if chance(4) {
 		cfg.Workload.ThinkMin, cfg.Workload.ThinkMax = 0, 0
@@ -82,7 +100,8 @@ func randomConfig(seed uint64) Config {
 // account for every dispatch as an offload or a shed, and a tiered run
 // must attribute every offload to exactly one tier.
 func TestRandomConfigInvariants(t *testing.T) {
-	var tiered, faulted, ideal int
+	picks := checkEveryPick(t)
+	var tiered, faulted, ideal, promoted int
 	for seed := uint64(1); seed <= 80; seed++ {
 		cfg := randomConfig(seed)
 		res, err := Run(cfg)
@@ -118,9 +137,18 @@ func TestRandomConfigInvariants(t *testing.T) {
 		if cfg.Workload.ThinkMax == 0 {
 			ideal++
 		}
+		if res.Promotions > 0 {
+			promoted++
+		}
 	}
 	// The generator must actually reach the regions it claims to cover.
-	if tiered == 0 || faulted == 0 || ideal == 0 {
-		t.Fatalf("generator coverage: %d tiered, %d faulted, %d zero-think configs", tiered, faulted, ideal)
+	if tiered == 0 || faulted == 0 || ideal == 0 || promoted == 0 {
+		t.Fatalf("generator coverage: %d tiered, %d faulted, %d zero-think, %d promoting configs",
+			tiered, faulted, ideal, promoted)
 	}
+	if *picks == 0 {
+		t.Fatal("no pick was checked against the scan oracle")
+	}
+	t.Logf("%d tiered, %d faulted, %d zero-think, %d promoting configs; %d picks checked",
+		tiered, faulted, ideal, promoted, *picks)
 }

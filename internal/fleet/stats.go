@@ -3,7 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -183,7 +183,7 @@ func percentile(sorted []simtime.PS, q float64) simtime.PS {
 // finish derives the aggregate fields from the raw latency population and
 // final server states.
 func (r *Result) finish(latencies []simtime.PS, servers []*server, makespan simtime.PS) {
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
+	slices.Sort(latencies)
 	r.P50Ms = percentile(latencies, 0.50).Millis()
 	r.P99Ms = percentile(latencies, 0.99).Millis()
 	var sum simtime.PS
