@@ -90,11 +90,12 @@ profsmoke:
 	test -s $(CURDIR)/.profsmoke.folded
 	rm -f $(CURDIR)/.profsmoke.folded
 
-## fuzz: a longer fuzzing session over the wire decoder, the link and
-## server fault-spec parsers, and the fleet's dispatch load index against
-## its linear-scan oracle.
+## fuzz: a longer fuzzing session over the wire decoder, the IR text
+## parser, the link and server fault-spec parsers, and the fleet's dispatch
+## load index against its linear-scan oracle.
 fuzz:
 	$(GO) test ./internal/offrt/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s
+	$(GO) test ./internal/ir/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParseServer$$' -fuzztime 30s
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 30s

@@ -122,13 +122,14 @@ func cmpBits(pred int32, lt, eq bool) uint64 {
 }
 
 // readMem is the aligned scalar read fast path: a TLB hit indexes the
-// resident page array without allocating. Accesses that straddle a page,
-// hit a Touch observer, or miss the TLB on a faulting page fall back to
-// the allocating slow path with identical semantics.
+// resident page array without allocating. A Touch observer is told the
+// page on every access (a TLB fill tells it twice, which a set ignores).
+// Accesses that straddle a page fall back to the allocating slow path with
+// identical semantics.
 func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 	mm := m.Mem
 	off := addr & (mem.PageSize - 1)
-	if mm.Touch == nil && int(off)+size <= mem.PageSize {
+	if int(off)+size <= mem.PageSize {
 		pn := addr >> mem.PageShift
 		e := &m.rtlb[pn&(tlbWays-1)]
 		if e.data == nil || e.pn != pn || e.gen != mm.Gen() {
@@ -137,6 +138,9 @@ func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 				return 0, err
 			}
 			e.data, e.pn, e.gen = data, pn, mm.Gen()
+		}
+		if mm.Touch != nil {
+			mm.Touch(pn)
 		}
 		b := e.data[off:]
 		switch size {
@@ -158,7 +162,7 @@ func (m *Machine) readMem(addr uint32, size int) (uint64, error) {
 func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 	mm := m.Mem
 	off := addr & (mem.PageSize - 1)
-	if mm.Touch == nil && int(off)+size <= mem.PageSize {
+	if int(off)+size <= mem.PageSize {
 		pn := addr >> mem.PageShift
 		e := &m.wtlb[pn&(tlbWays-1)]
 		if e.data == nil || e.pn != pn || e.gen != mm.Gen() || e.track != mm.TrackDirty {
@@ -167,6 +171,9 @@ func (m *Machine) writeMem(addr uint32, size int, v uint64) error {
 				return err
 			}
 			e.data, e.pn, e.gen, e.track = data, pn, mm.Gen(), mm.TrackDirty
+		}
+		if mm.Touch != nil {
+			mm.Touch(pn)
 		}
 		b := e.data[off:]
 		switch size {

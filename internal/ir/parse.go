@@ -77,6 +77,9 @@ func Parse(text string) (*Module, error) {
 		line := strings.TrimSpace(raw)
 		switch {
 		case strings.HasPrefix(line, "func @"):
+			if cur != nil {
+				return nil, lineErr(i, fmt.Errorf("@%s has no closing brace", cur.fn.Nam))
+			}
 			name := line[len("func @"):strings.IndexByte(line, '(')]
 			cur = &bodyState{
 				p:      p,
@@ -102,8 +105,8 @@ func Parse(text string) (*Module, error) {
 			}
 		}
 	}
-	if p.mod == nil {
-		return nil, fmt.Errorf("ir: parse: no module header")
+	if cur != nil {
+		return nil, fmt.Errorf("ir: parse: @%s has no closing brace", cur.fn.Nam)
 	}
 	for _, f := range p.mod.Funcs {
 		f.Renumber()

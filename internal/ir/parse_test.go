@@ -158,6 +158,17 @@ func TestParseRejectsDanglingLabel(t *testing.T) {
 	}
 }
 
+func TestParseRejectsUnclosedBody(t *testing.T) {
+	for _, src := range []string{
+		"module x (stack 0x10)\nfunc @f() i32 {\nentry:\n  br nowhere\n",
+		"module x (stack 0x10)\nfunc @f() i32 {\nentry:\n  ret i32 0\nfunc @g() i32 {\nentry:\n  ret i32 0\n}\n",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("body without closing brace accepted:\n%s", src)
+		}
+	}
+}
+
 func TestParseRejectsDuplicateLabelsAndFuncs(t *testing.T) {
 	dupBlock := "module x (stack 0x10)\nfunc @f() i32 {\nentry:\n  br entry\nentry:\n  ret i32 0\n}\n"
 	if _, err := Parse(dupBlock); err == nil {

@@ -86,7 +86,11 @@ type Memory struct {
 	TrackDirty bool
 
 	// Touch, when set, observes every page access; the profiler uses it to
-	// measure candidate memory footprints (Table 3 "Mem. Size").
+	// measure candidate memory footprints (Table 3 "Mem. Size"). Memory
+	// calls it from every page lookup, and a caller that caches page
+	// arrays (the interpreter's TLB) calls it on each access it serves
+	// from the cache. It may see one access more than once, so it must
+	// treat the calls as set membership, not as counts.
 	Touch func(pn uint32)
 
 	// Faults counts copy-on-demand faults served via Fault.
@@ -206,8 +210,9 @@ func (m *Memory) readPage(pn uint32) (*[PageSize]byte, error) {
 
 // Gen returns the invalidation generation. A cached page pointer obtained
 // from Page or DirtyPage stays valid (and, for DirtyPage, stays marked
-// dirty) as long as Gen is unchanged, Touch is nil, and — for write caches —
-// TrackDirty has not been toggled.
+// dirty) as long as Gen is unchanged and — for write caches — TrackDirty
+// has not been toggled. A cache hit bypasses Touch, so a caching reader
+// must report its hits to Touch itself.
 func (m *Memory) Gen() uint64 { return m.gen }
 
 // Page returns the resident data array of page pn, faulting it in as

@@ -851,13 +851,14 @@ func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 	reqMsg := &Message{Kind: MsgPageRequest, Addr: mem.PageAddr(pn)}
 	respMsg := &Message{Kind: MsgPageData,
 		Pages: []PageRecord{{PN: pn, Data: s.Mobile.Mem.PageData(pn)}}}
-	req, rerr := s.sendReliable(false, reqMsg.WireSize(), s.Server.Clock, "page.request")
+	reqBytes, respBytes := reqMsg.WireSize(), respMsg.WireSize()
+	req, rerr := s.sendReliable(false, reqBytes, s.Server.Clock, "page.request")
 	if rerr != nil {
 		s.Server.AddTime(req, interp.CompComm)
 		s.abortTask("page.request")
 		return s.Mobile.Mem.PageData(pn), nil
 	}
-	resp, rerr := s.sendReliable(true, respMsg.WireSize(), s.Server.Clock+req, "page.data")
+	resp, rerr := s.sendReliable(true, respBytes, s.Server.Clock+req, "page.data")
 	if rerr != nil {
 		s.Server.AddTime(req+resp, interp.CompComm)
 		s.abortTask("page.data")
@@ -868,9 +869,9 @@ func (s *Session) servePageFault(pn uint32) ([]byte, error) {
 	s.emit(obs.Event{Time: s.Server.Clock, Dur: req + resp, Kind: obs.KPageFault,
 		Track: obs.TrackServer, Name: "remote",
 		A0: int64(pn), A1: int64(mem.PageAddr(pn)),
-		A2: reqMsg.WireSize() + respMsg.WireSize()})
+		A2: reqBytes + respBytes})
 	if st := s.PerTask[int(s.cur.taskID)]; st != nil {
-		st.TrafficBytes += reqMsg.WireSize() + respMsg.WireSize()
+		st.TrafficBytes += reqBytes + respBytes
 	}
 	// The mobile radio pulses: receive the request, transmit the page.
 	s.Recorder.Pulse(s.Server.Clock+req, resp, energy.TX)

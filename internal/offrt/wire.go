@@ -244,10 +244,19 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// WireSize returns the encoded size without materializing page payloads
-// twice; it is what the session charges to the link.
+// wireFixedBytes is the encoded size of a message with empty slices.
+const wireFixedBytes = 4 + // length prefix
+	1 + 4 + 4 + // Kind, TaskID, SP
+	4 + 4 + 4 + // Args, PageTable and Pages counts
+	4 + 4 + 4 + 8 + 1 + // Addr, FD, N, Ret, Compressed
+	4 + 4 // Data length, CRC
+
+// WireSize returns len(m.Encode()) computed from the field lengths, without
+// encoding: every page record is padded or cut to PageSize on the wire. It
+// is what the session charges to the link.
 func (m *Message) WireSize() int64 {
-	return int64(len(m.Encode()))
+	return wireFixedBytes + 8*int64(len(m.Args)) + 4*int64(len(m.PageTable)) +
+		(4+mem.PageSize)*int64(len(m.Pages)) + int64(len(m.Data))
 }
 
 // CompressPages deflates a page set into the message's Data field and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +152,49 @@ func TestWireSizeTracksPayload(t *testing.T) {
 	}
 	if small > 64 {
 		t.Errorf("envelope overhead %d bytes, want compact (<64)", small)
+	}
+}
+
+// TestWireSizeMatchesEncode checks WireSize against the encoder over
+// seeded random messages: empty and nil slices, short pages the encoder
+// pads, over-long pages it cuts, and compressed page payloads.
+func TestWireSizeMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pageLens := []int{0, 1, mem.PageSize / 2, mem.PageSize - 1, mem.PageSize, mem.PageSize + 7}
+	var compressed int
+	for i := 0; i < 300; i++ {
+		m := &Message{Kind: MsgKind(1 + rng.Intn(int(MsgCheckpoint))), TaskID: rng.Int31(),
+			SP: rng.Uint32(), Addr: rng.Uint32(), FD: rng.Int31(), N: rng.Int31(), Ret: rng.Uint64()}
+		if n := rng.Intn(4); n > 0 {
+			m.Args = make([]uint64, n-1) // n == 1: empty, non-nil
+		}
+		if n := rng.Intn(5); n > 0 {
+			m.PageTable = make([]uint32, n-1)
+		}
+		if n := rng.Intn(4); n > 0 {
+			m.Pages = make([]PageRecord, n-1)
+			for j := range m.Pages {
+				m.Pages[j] = PageRecord{PN: rng.Uint32(), Data: make([]byte, pageLens[rng.Intn(len(pageLens))])}
+				rng.Read(m.Pages[j].Data)
+			}
+		}
+		if n := rng.Intn(3); n > 0 {
+			m.Data = make([]byte, rng.Intn(300)*(n-1))
+			rng.Read(m.Data)
+		}
+		if len(m.Pages) > 0 && rng.Intn(3) == 0 {
+			if _, err := m.CompressPages(); err != nil {
+				t.Fatal(err)
+			}
+			compressed++
+		}
+		if got, want := m.WireSize(), int64(len(m.Encode())); got != want {
+			t.Fatalf("message %d (%d args, %d table, %d pages, %d data, compressed %v): WireSize %d, encoded %d",
+				i, len(m.Args), len(m.PageTable), len(m.Pages), len(m.Data), m.Compressed, got, want)
+		}
+	}
+	if compressed == 0 {
+		t.Error("no compressed message drawn")
 	}
 }
 

@@ -66,7 +66,8 @@ type Stats struct {
 	SelfTime simtime.PS
 	// Invocations counts entries (calls, or loop entries).
 	Invocations int
-	// Pages is the number of distinct memory pages touched while live.
+	// Pages is the number of distinct memory pages touched while live,
+	// across all invocations.
 	Pages int
 	// MemBytes is Pages * PageSize: the estimator's M in Equation 1.
 	MemBytes int64
@@ -128,38 +129,56 @@ func (r *Report) String() string {
 type Profiler struct {
 	machine *interp.Machine
 
-	funcStats map[*ir.Func]*Stats
+	funcs     map[*ir.Func]*funcInfo
 	loopStats map[*analysis.Loop]*Stats
-	loopInfo  map[*ir.Func]*funcLoops
 
-	// Active candidate activations, innermost last.
-	stack []*activation
+	// stack holds the live activations, innermost last: each function
+	// frame is followed by the frames of its open loops, outermost first.
+	// Popped frames are overwritten by later pushes, so steady-state
+	// calls allocate nothing.
+	stack []activation
+	// fn is the stack index of the innermost function frame, -1 if none.
+	fn int
+	// epoch is the last epoch handed to a pushed frame. Frames up the
+	// stack hold strictly increasing epochs.
+	epoch uint64
+
+	// stamps holds each page's stamp: the epoch of the innermost
+	// activation at the page's last touch, 0 if never touched under one.
+	// It is a sparse two-level table keyed by page number whose rows are
+	// allocated on first touch.
+	stamps [1 << (32 - mem.PageShift - pageRowBits)]*[1 << pageRowBits]uint64
+	// adds counts page insertions into live activations' candidates.
+	adds int64
 }
 
+// pageRowBits sizes the rows of the stamp table: 1024 pages, 4 MiB of
+// address space, per row.
+const pageRowBits = 10
+
+// activation is one live function or loop frame.
 type activation struct {
 	stats   *Stats
+	epoch   uint64
 	entered simtime.PS
-	pages   map[uint32]struct{}
-	// loops currently active within this function activation.
-	loops []*loopActivation
+
+	// Function frames only.
 	fn    *ir.Func
-	cur   *analysis.Loop // innermost loop containing the current block
+	inner map[*ir.Block]*analysis.Loop // fn's funcInfo.inner
+	cur   *analysis.Loop               // innermost loop containing the current block
+	outer int                          // stack index of the enclosing function frame
 	// calleeTime accumulates time spent in functions this activation
 	// called, for self-time accounting.
 	calleeTime simtime.PS
+
+	// Loop frames only.
+	loop *analysis.Loop
 }
 
-type loopActivation struct {
-	stats   *Stats
-	loop    *analysis.Loop
-	entered simtime.PS
-	pages   map[uint32]struct{}
-}
-
-type funcLoops struct {
-	forest *analysis.LoopForest
+type funcInfo struct {
+	stats *Stats
 	// inner maps each block to its innermost containing loop (nil if
-	// none).
+	// none); the map itself is nil when the function has no loops.
 	inner map[*ir.Block]*analysis.Loop
 }
 
@@ -168,9 +187,9 @@ type funcLoops struct {
 func Attach(m *interp.Machine) (*Profiler, error) {
 	p := &Profiler{
 		machine:   m,
-		funcStats: make(map[*ir.Func]*Stats),
+		funcs:     make(map[*ir.Func]*funcInfo),
 		loopStats: make(map[*analysis.Loop]*Stats),
-		loopInfo:  make(map[*ir.Func]*funcLoops),
+		fn:        -1,
 	}
 	for _, f := range m.Mod.Funcs {
 		if f.IsExtern() {
@@ -181,20 +200,20 @@ func Attach(m *interp.Machine) (*Profiler, error) {
 			return nil, err
 		}
 		forest := analysis.FindLoops(cfg, analysis.Dominators(cfg))
-		fl := &funcLoops{forest: forest, inner: make(map[*ir.Block]*analysis.Loop)}
+		fi := &funcInfo{stats: &Stats{Candidate: Candidate{Kind: KindFunc, Fn: f}}}
+		if len(forest.Loops) > 0 {
+			fi.inner = make(map[*ir.Block]*analysis.Loop)
+		}
 		// Loops are sorted outermost-first; later (inner) assignments win.
 		for _, l := range forest.Loops {
 			for b := range l.Blocks {
-				if cur := fl.inner[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
-					fl.inner[b] = l
+				if cur := fi.inner[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
+					fi.inner[b] = l
 				}
 			}
-		}
-		p.loopInfo[f] = fl
-		p.funcStats[f] = &Stats{Candidate: Candidate{Kind: KindFunc, Fn: f}}
-		for _, l := range forest.Loops {
 			p.loopStats[l] = &Stats{Candidate: Candidate{Kind: KindLoop, Fn: f, Loop: l}}
 		}
+		p.funcs[f] = fi
 	}
 	m.Listener = p
 	m.Mem.Touch = p.onTouch
@@ -207,120 +226,154 @@ func (p *Profiler) Detach() {
 	p.machine.Mem.Touch = nil
 }
 
+// PageAdds returns how many times a touch added its page to a live
+// activation's candidate. The epoch rule visits an activation only the
+// first time it sees a page, so this is the number of distinct
+// (activation, page) pairs: the footprint bookkeeping's whole work.
+func (p *Profiler) PageAdds() int64 { return p.adds }
+
+// onTouch records page pn in the candidate of every live activation that
+// has not seen it yet. The page's stamp is the epoch of the innermost
+// activation at its last touch. Every activation with an epoch at or
+// below the stamp was live then and already holds the page; every one
+// above it was pushed after that touch. Epochs increase up the stack, so
+// the walk from the innermost frame stops at the first one at or below
+// the stamp, and a touch under the same innermost frame costs one lookup.
 func (p *Profiler) onTouch(pn uint32) {
-	for _, act := range p.stack {
-		act.pages[pn] = struct{}{}
-		for _, la := range act.loops {
-			la.pages[pn] = struct{}{}
-		}
+	n := len(p.stack)
+	if n == 0 {
+		return
 	}
+	top := p.stack[n-1].epoch
+	row := p.stamps[pn>>pageRowBits]
+	if row == nil {
+		row = new([1 << pageRowBits]uint64)
+		p.stamps[pn>>pageRowBits] = row
+	}
+	stamp := &row[pn&(1<<pageRowBits-1)]
+	last := *stamp
+	if last == top {
+		return
+	}
+	*stamp = top
+	for i := n - 1; i >= 0; i-- {
+		a := &p.stack[i]
+		if a.epoch <= last {
+			break
+		}
+		a.stats.addPage(pn)
+		p.adds++
+	}
+}
+
+// addPage adds page pn to the candidate's set.
+func (st *Stats) addPage(pn uint32) {
+	if st.pageSet == nil {
+		st.pageSet = make(map[uint32]struct{})
+	}
+	st.pageSet[pn] = struct{}{}
+	st.Pages = len(st.pageSet)
+	st.MemBytes = int64(st.Pages) * mem.PageSize
 }
 
 // EnterFunc implements interp.Listener.
 func (p *Profiler) EnterFunc(m *interp.Machine, f *ir.Func) {
-	st := p.funcStats[f]
-	if st == nil {
+	fi := p.funcs[f]
+	if fi == nil {
 		return
 	}
+	st := fi.stats
 	st.Invocations++
 	st.active++
-	p.stack = append(p.stack, &activation{
+	p.epoch++
+	p.stack = append(p.stack, activation{
 		stats:   st,
+		epoch:   p.epoch,
 		entered: m.Clock,
-		pages:   make(map[uint32]struct{}),
 		fn:      f,
+		inner:   fi.inner,
+		outer:   p.fn,
 	})
+	p.fn = len(p.stack) - 1
 }
 
 // ExitFunc implements interp.Listener.
 func (p *Profiler) ExitFunc(m *interp.Machine, f *ir.Func) {
-	if len(p.stack) == 0 {
+	if p.fn < 0 {
 		return
 	}
-	act := p.stack[len(p.stack)-1]
-	p.stack = p.stack[:len(p.stack)-1]
-	// Close any loops still active (function returned from inside a loop).
-	for i := len(act.loops) - 1; i >= 0; i-- {
-		p.closeLoop(m, act, act.loops[i])
+	// Close any loops still open (function returned from inside a loop).
+	for i := len(p.stack) - 1; i > p.fn; i-- {
+		closeLoop(m, &p.stack[i])
 	}
-	act.loops = nil
+	act := &p.stack[p.fn]
+	p.stack = p.stack[:p.fn]
+	p.fn = act.outer
 	act.stats.active--
 	elapsed := m.Clock - act.entered
 	if act.stats.active == 0 {
 		act.stats.Time += elapsed
 	}
 	act.stats.SelfTime += elapsed - act.calleeTime
-	if len(p.stack) > 0 {
-		p.stack[len(p.stack)-1].calleeTime += elapsed
+	if p.fn >= 0 {
+		p.stack[p.fn].calleeTime += elapsed
 	}
-	mergePages(act.stats, act.pages)
 }
 
 // EnterBlock implements interp.Listener: it tracks loop entry and exit by
 // watching the innermost-loop assignment of each executed block.
 func (p *Profiler) EnterBlock(m *interp.Machine, f *ir.Func, b *ir.Block) {
-	if len(p.stack) == 0 {
+	if p.fn < 0 {
 		return
 	}
-	act := p.stack[len(p.stack)-1]
-	if act.fn != f {
+	act := &p.stack[p.fn]
+	if act.inner == nil || act.fn != f {
 		return
 	}
-	fl := p.loopInfo[f]
-	target := fl.inner[b]
+	target := act.inner[b]
 	if target == act.cur {
 		// Re-entering the header of the current loop is a new iteration,
 		// not a new activation; nothing to do.
 		return
 	}
+	act.cur = target
 	// Close loops that do not contain the new block.
-	for len(act.loops) > 0 {
-		top := act.loops[len(act.loops)-1]
+	for len(p.stack)-1 > p.fn {
+		top := &p.stack[len(p.stack)-1]
 		if loopContains(top.loop, target) {
 			break
 		}
-		p.closeLoop(m, act, top)
-		act.loops = act.loops[:len(act.loops)-1]
+		closeLoop(m, top)
+		p.stack = p.stack[:len(p.stack)-1]
 	}
-	// Open loops from the outside in until we reach the target.
-	var toOpen []*analysis.Loop
-	for l := target; l != nil; l = l.Parent {
-		if len(act.loops) > 0 && act.loops[len(act.loops)-1].loop == l {
-			break
-		}
-		already := false
-		for _, la := range act.loops {
-			if la.loop == l {
-				already = true
-				break
-			}
-		}
-		if already {
-			break
-		}
-		toOpen = append(toOpen, l)
+	// The open loops now form target's ancestor chain from the outermost
+	// loop down to the top frame's; open the rest of the chain.
+	var open *analysis.Loop
+	if len(p.stack)-1 > p.fn {
+		open = p.stack[len(p.stack)-1].loop
 	}
-	for i := len(toOpen) - 1; i >= 0; i-- {
-		l := toOpen[i]
-		st := p.loopStats[l]
-		st.Invocations++
-		st.active++
-		act.loops = append(act.loops, &loopActivation{
-			stats:   st,
-			loop:    l,
-			entered: m.Clock,
-			pages:   make(map[uint32]struct{}),
-		})
-	}
-	act.cur = target
+	p.openLoops(m, target, open)
 }
 
-func (p *Profiler) closeLoop(m *interp.Machine, act *activation, la *loopActivation) {
+// openLoops pushes frames for l and its ancestors below open, outermost
+// first.
+func (p *Profiler) openLoops(m *interp.Machine, l, open *analysis.Loop) {
+	if l == open {
+		return
+	}
+	p.openLoops(m, l.Parent, open)
+	st := p.loopStats[l]
+	st.Invocations++
+	st.active++
+	p.epoch++
+	p.stack = append(p.stack, activation{stats: st, epoch: p.epoch, entered: m.Clock, loop: l})
+}
+
+func closeLoop(m *interp.Machine, la *activation) {
 	la.stats.active--
 	if la.stats.active == 0 {
 		la.stats.Time += m.Clock - la.entered
 	}
-	mergePages(la.stats, la.pages)
 }
 
 func loopContains(outer, inner *analysis.Loop) bool {
@@ -330,21 +383,6 @@ func loopContains(outer, inner *analysis.Loop) bool {
 		}
 	}
 	return false
-}
-
-func mergePages(st *Stats, pages map[uint32]struct{}) {
-	// Approximate distinct pages across invocations with the maximum
-	// single-invocation footprint plus growth: we count pages not yet
-	// attributed. Exact cross-invocation dedup would need a global set per
-	// candidate; keep one.
-	if st.pageSet == nil {
-		st.pageSet = make(map[uint32]struct{})
-	}
-	for pn := range pages {
-		st.pageSet[pn] = struct{}{}
-	}
-	st.Pages = len(st.pageSet)
-	st.MemBytes = int64(st.Pages) * mem.PageSize
 }
 
 // Run profiles one whole execution of the machine's main function and
@@ -365,8 +403,8 @@ func Run(m *interp.Machine) (*Report, error) {
 // Report finalizes the collected statistics.
 func (p *Profiler) Report(total simtime.PS) *Report {
 	r := &Report{Total: total, ByName: make(map[string]*Stats)}
-	for _, st := range p.funcStats {
-		if st.Invocations > 0 {
+	for _, fi := range p.funcs {
+		if st := fi.stats; st.Invocations > 0 {
 			r.ByName[st.Candidate.Name()] = st
 		}
 	}
